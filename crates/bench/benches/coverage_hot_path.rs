@@ -122,11 +122,11 @@ fn bench_engine_iteration(c: &mut Criterion) {
             .expect("boots under defaults");
         // Reach steady state so most sessions find nothing new.
         for _ in 0..2_000 {
-            engine.run_iteration();
+            engine.run_batch(1);
         }
-        b.iter(|| engine.run_iteration());
+        b.iter(|| engine.run_batch(1));
         let allocs = count_allocs(1_000, || {
-            black_box(engine.run_iteration());
+            black_box(engine.run_batch(1));
         });
         println!(
             "bench engine_iteration/mosquitto_steady_state ... {:.1} allocs/iter (target response buffers)",

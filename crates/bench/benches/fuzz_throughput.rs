@@ -17,7 +17,7 @@ fn bench_iterations(c: &mut Criterion) {
             engine
                 .start(&ResolvedConfig::new())
                 .expect("boots under defaults");
-            b.iter(|| engine.run_iteration());
+            b.iter(|| engine.run_batch(1));
         });
     }
     group.finish();

@@ -3,7 +3,7 @@
 //!
 //! A counting global allocator backs the claim from DESIGN.md §8: once
 //! coverage has saturated and every scratch buffer has reached its
-//! high-water capacity, [`cmfuzz_fuzzer::FuzzEngine::run_iteration`] —
+//! high-water capacity, [`cmfuzz_fuzzer::FuzzEngine::run_batch`] —
 //! session planning over interned ids, seed reuse from `Arc`-shared
 //! bytes, precompiled renders, byte-level havoc (dictionary splices
 //! included) and coverage feedback — never touches the allocator. The
@@ -77,7 +77,7 @@ fn steady_engine(pit_document: &str) -> FuzzEngine<NullTarget> {
         .start(&ResolvedConfig::new())
         .expect("null target always boots");
     for _ in 0..5_000 {
-        engine.run_iteration();
+        engine.run_batch(1);
     }
     assert_eq!(
         engine.covered_count(),
@@ -95,11 +95,11 @@ fn bench_session_iteration(c: &mut Criterion) {
     for spec in all_specs() {
         group.bench_function(spec.name, |b| {
             let mut engine = steady_engine(spec.pit_document);
-            b.iter(|| black_box(engine.run_iteration()));
+            b.iter(|| black_box(engine.run_batch(1)));
 
             let stats_before = engine.stats();
             let allocs = count_allocs(2_000, || {
-                black_box(engine.run_iteration());
+                black_box(engine.run_batch(1));
             });
             let stats_after = engine.stats();
 

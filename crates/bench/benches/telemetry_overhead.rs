@@ -26,14 +26,14 @@ fn bench_overhead(c: &mut Criterion) {
 
     group.bench_function("iteration_disabled", |b| {
         let mut engine = engine("bench-telemetry-off");
-        b.iter(|| engine.run_iteration());
+        b.iter(|| engine.run_batch(1));
     });
 
     group.bench_function("iteration_enabled", |b| {
         let telemetry = Telemetry::builder(VirtualClock::new()).build();
         let mut engine = engine("bench-telemetry-on");
         engine.attach_telemetry(EngineTelemetry::for_pipeline(&telemetry));
-        b.iter(|| engine.run_iteration());
+        b.iter(|| engine.run_batch(1));
     });
 
     group.finish();

@@ -33,18 +33,18 @@ fn bench_dispatch(c: &mut Criterion) {
 
     group.bench_function("enum_datagram", |b| {
         let mut engine = engine_of(NetworkedTarget::new(mqtt(), "bench-enum"));
-        b.iter(|| engine.run_iteration());
+        b.iter(|| engine.run_batch(1));
     });
 
     group.bench_function("boxed_datagram", |b| {
         let boxed: Box<dyn Target + Send> = Box::new(mqtt());
         let mut engine = engine_of(NetworkedTarget::new(boxed, "bench-boxed"));
-        b.iter(|| engine.run_iteration());
+        b.iter(|| engine.run_batch(1));
     });
 
     group.bench_function("enum_direct", |b| {
         let mut engine = engine_of(NetworkedTarget::with_transport(mqtt(), DirectLink::new()));
-        b.iter(|| engine.run_iteration());
+        b.iter(|| engine.run_batch(1));
     });
 
     group.finish();

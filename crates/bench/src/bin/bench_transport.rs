@@ -146,7 +146,7 @@ fn timed_run<T: Target>(spec: &ProtocolSpec, target: T, iterations: u64) -> (f64
         .expect("boots under defaults");
     let started = Instant::now();
     for _ in 0..iterations {
-        engine.run_iteration();
+        engine.run_batch(1);
     }
     let secs = started.elapsed().as_secs_f64();
     let digest = format!(

@@ -35,4 +35,4 @@ pub use experiments::{
     CellTiming, ExperimentScale, Figure4Series, Table1Row, Table2Row,
 };
 pub use grid::{default_jobs, run_cells, run_cells_timed};
-pub use session::{LegacyEngine, NullTarget};
+pub use session::NullTarget;

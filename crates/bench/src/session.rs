@@ -1,5 +1,4 @@
-//! Session-loop benchmark fixtures: a non-allocating target and a
-//! faithful replica of the pre-optimization engine loop.
+//! Session-loop benchmark fixture: a non-allocating target.
 //!
 //! [`NullTarget`] is the measurement harness for the engine itself: its
 //! `handle` hits one coverage branch keyed on the first input byte and
@@ -8,25 +7,10 @@
 //! branch space means a seeded warmup saturates coverage, putting the
 //! engine in the steady state (no retention, no outbox traffic) that the
 //! zero-allocation gate measures.
-//!
-//! [`LegacyEngine`] re-implements the session loop exactly as it worked
-//! before the allocation-free rework — `String` session plans cloned from
-//! a fresh [`StateWalker`] walk, `Generator::render` building a new `Vec`
-//! per message, model mutation on a full model clone, and a `Vec`-backed
-//! corpus with `remove(0)` eviction, a filter-collect pick and a
-//! linear-scan exact-duplicate drop. It exists so `bench_session` can
-//! report an honest before/after on identical workloads; it is not used
-//! by any production path.
 
 use cmfuzz_config_model::{ConfigSpace, ResolvedConfig};
-use cmfuzz_coverage::{BranchId, CoverageMap, CoverageProbe, CoverageSnapshot};
-use cmfuzz_fuzzer::pit::PitDefinition;
-use cmfuzz_fuzzer::{
-    DataModel, EngineConfig, FaultLog, Generator, Mutator, StartError, StateWalker, Target,
-    TargetResponse,
-};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use cmfuzz_coverage::{BranchId, CoverageProbe};
+use cmfuzz_fuzzer::{StartError, Target, TargetResponse};
 
 /// A target whose `handle` performs no heap allocation: it hits the
 /// coverage branch selected by the first input byte and replies with
@@ -81,220 +65,10 @@ impl Target for NullTarget {
     }
 }
 
-/// A retained input as the pre-optimization engine stored it: owned bytes
-/// plus an owned model name.
-#[derive(Debug, Clone)]
-struct LegacySeed {
-    bytes: Vec<u8>,
-    model: String,
-}
-
-/// The session loop as it was before interning, render programs and
-/// shared seed bytes — the `bench_session` baseline.
-#[derive(Debug)]
-pub struct LegacyEngine<T: Target> {
-    target: T,
-    pit: PitDefinition,
-    config: EngineConfig,
-    map: CoverageMap,
-    accumulated: CoverageSnapshot,
-    working_models: Vec<DataModel>,
-    seeds: Vec<LegacySeed>,
-    outbox: Vec<LegacySeed>,
-    mutator: Mutator,
-    faults: FaultLog,
-    rng: StdRng,
-    sessions: u64,
-    messages: u64,
-}
-
-impl<T: Target> LegacyEngine<T> {
-    /// Creates the baseline engine; seeds its RNG and mutator exactly
-    /// like [`cmfuzz_fuzzer::FuzzEngine::new`] does, so both engines walk
-    /// the same random streams.
-    #[must_use]
-    pub fn new(target: T, pit: PitDefinition, config: EngineConfig) -> Self {
-        let map = CoverageMap::new(target.branch_count());
-        let accumulated = CoverageSnapshot::empty(target.branch_count());
-        let working_models = pit.data_models().to_vec();
-        let mutator = Mutator::new(config.seed ^ 0x006d_7574_6174_6f72)
-            .with_dictionary(config.dictionary.clone());
-        let rng = StdRng::seed_from_u64(config.seed);
-        LegacyEngine {
-            target,
-            pit,
-            config,
-            map,
-            accumulated,
-            working_models,
-            seeds: Vec::new(),
-            outbox: Vec::new(),
-            mutator,
-            faults: FaultLog::new(),
-            rng,
-            sessions: 0,
-            messages: 0,
-        }
-    }
-
-    /// Boots the target (legacy twin of `FuzzEngine::start`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the target's [`StartError`].
-    pub fn start(&mut self, config: &ResolvedConfig) -> Result<(), StartError> {
-        self.target.start(config, self.map.probe())?;
-        let after = self.map.snapshot();
-        self.accumulated.union_with(&after);
-        Ok(())
-    }
-
-    /// One session iteration, with the pre-optimization allocation
-    /// profile: plan of cloned `String`s, fresh render `Vec` per message,
-    /// model clone per field mutation, filter-collect corpus pick.
-    pub fn run_iteration(&mut self) {
-        self.target.begin_session();
-
-        let plan: Vec<String> = match self.pit.state_model() {
-            Some(state_model) => {
-                let mut walker = StateWalker::new(state_model);
-                walker
-                    .session(&mut self.rng, self.config.max_session_len)
-                    .iter()
-                    .map(|t| t.input_model.clone())
-                    .collect()
-            }
-            None => {
-                if self.working_models.is_empty() {
-                    Vec::new()
-                } else {
-                    let i = self.rng.random_range(0..self.working_models.len());
-                    vec![self.working_models[i].name().to_owned()]
-                }
-            }
-        };
-
-        let mut sent: Vec<(String, Vec<u8>)> = Vec::new();
-        for model_name in &plan {
-            let mutate_fields = self.rng.random::<f64>() < self.config.model_mutation_rate;
-
-            let mut bytes =
-                if !mutate_fields && self.rng.random::<f64>() < self.config.seed_reuse_rate {
-                    let picked = {
-                        let matching: Vec<usize> = self
-                            .seeds
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| s.model == *model_name)
-                            .map(|(i, _)| i)
-                            .collect();
-                        if matching.is_empty() {
-                            None
-                        } else {
-                            Some(matching[self.rng.random_range(0..matching.len())])
-                        }
-                    };
-                    match picked {
-                        Some(i) => self.seeds[i].bytes.clone(),
-                        None => self.render(model_name),
-                    }
-                } else if mutate_fields {
-                    match self.working_models.iter().find(|m| m.name() == model_name) {
-                        Some(model) => {
-                            let mut copy = model.clone();
-                            self.mutator.mutate_model(&mut copy);
-                            Generator::render(&copy)
-                        }
-                        None => Vec::new(),
-                    }
-                } else {
-                    self.render(model_name)
-                };
-
-            if self.rng.random::<f64>() < self.config.byte_mutation_rate {
-                self.mutator.mutate(&mut bytes, self.config.mutation_stack);
-            }
-
-            let response = self.target.handle(&bytes);
-            self.messages += 1;
-            sent.push((model_name.clone(), bytes));
-            if let Some(fault) = response.fault {
-                self.faults.record(fault);
-            }
-        }
-
-        let new_branches = self.map.absorb_new(&mut self.accumulated);
-        if new_branches > 0 {
-            for (model, bytes) in sent {
-                let seed = LegacySeed { bytes, model };
-                // Exact-duplicate drop, naive-style: a full linear scan
-                // (the optimized engine uses a hash index). Keeps the
-                // retained corpus — and therefore the work measured by
-                // the throughput comparison — identical to the
-                // optimized engine's.
-                if self
-                    .seeds
-                    .iter()
-                    .any(|s| s.model == seed.model && s.bytes == seed.bytes)
-                {
-                    continue;
-                }
-                self.outbox.push(seed.clone());
-                if self.config.corpus_capacity > 0
-                    && self.seeds.len() >= self.config.corpus_capacity
-                {
-                    self.seeds.remove(0);
-                }
-                self.seeds.push(seed);
-            }
-        }
-        self.sessions += 1;
-    }
-
-    fn render(&self, model_name: &str) -> Vec<u8> {
-        self.working_models
-            .iter()
-            .find(|m| m.name() == model_name)
-            .map(Generator::render)
-            .unwrap_or_default()
-    }
-
-    /// Branches covered so far.
-    #[must_use]
-    pub fn covered_count(&self) -> usize {
-        self.map.covered_count()
-    }
-
-    /// Sessions executed.
-    #[must_use]
-    pub fn sessions(&self) -> u64 {
-        self.sessions
-    }
-
-    /// Messages sent.
-    #[must_use]
-    pub fn messages(&self) -> u64 {
-        self.messages
-    }
-
-    /// Seeds currently retained.
-    #[must_use]
-    pub fn corpus_len(&self) -> usize {
-        self.seeds.len()
-    }
-
-    /// Drains the outbox (bounds memory during long measurement runs).
-    pub fn drain_outbox(&mut self) -> usize {
-        let drained = self.outbox.len();
-        self.outbox.clear();
-        drained
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmfuzz_fuzzer::{pit, FuzzEngine};
+    use cmfuzz_fuzzer::{pit, EngineConfig, FuzzEngine};
     use cmfuzz_protocols::spec_by_name;
 
     #[test]
@@ -304,7 +78,7 @@ mod tests {
         let mut engine = FuzzEngine::new(NullTarget::new(32), parsed, EngineConfig::default());
         engine.start(&ResolvedConfig::new()).expect("starts");
         for _ in 0..200 {
-            engine.run_iteration();
+            engine.run_batch(1);
         }
         assert!(engine.covered_count() > 1, "first-byte branches get hit");
         assert_eq!(
@@ -312,33 +86,5 @@ mod tests {
             0,
             "null target never faults"
         );
-    }
-
-    #[test]
-    fn legacy_engine_matches_optimized_coverage_trajectory() {
-        // Same pit, same config, same seed: the legacy replica and the
-        // optimized engine must find the same branches over the same
-        // number of sessions — the throughput comparison is apples to
-        // apples only if the work is identical.
-        let spec = spec_by_name("libcoap").expect("subject exists");
-        let config = EngineConfig {
-            seed: 11,
-            ..EngineConfig::default()
-        };
-        let parsed = pit::parse(spec.pit_document).expect("pit parses");
-        let mut legacy = LegacyEngine::new(NullTarget::new(64), parsed, config.clone());
-        legacy.start(&ResolvedConfig::new()).expect("starts");
-        let parsed = pit::parse(spec.pit_document).expect("pit parses");
-        let mut optimized = FuzzEngine::new(NullTarget::new(64), parsed, config);
-        optimized.start(&ResolvedConfig::new()).expect("starts");
-
-        for _ in 0..500 {
-            legacy.run_iteration();
-            optimized.run_iteration();
-        }
-        assert_eq!(legacy.sessions(), optimized.stats().sessions);
-        assert_eq!(legacy.messages(), optimized.stats().messages);
-        assert_eq!(legacy.covered_count(), optimized.covered_count());
-        assert_eq!(legacy.corpus_len(), optimized.corpus_len());
     }
 }

@@ -29,9 +29,11 @@ pub struct CampaignOptions {
     /// Coverage-curve sampling interval (also the round length).
     pub sample_interval: Ticks,
     /// Sessions executed per [`FuzzEngine::run_batch`] call inside a
-    /// round. Purely a throughput knob: batching renders sessions into one
-    /// arena and defers the coverage diff, but results are bit-identical
-    /// at every batch size (including 1). Clamped to at least 1.
+    /// round. Purely a throughput knob: a batch renders its sessions into
+    /// one arena and pays the per-call setup and batch telemetry once,
+    /// while each session still settles its own coverage, so results are
+    /// bit-identical at every batch size (including 1) under every engine
+    /// and corpus configuration. Clamped to at least 1.
     ///
     /// [`FuzzEngine::run_batch`]: cmfuzz_fuzzer::FuzzEngine::run_batch
     pub batch: usize,

@@ -219,8 +219,8 @@ impl CoverageMap {
     /// bitmap flags every coverage word with a first-hit since the last
     /// drain, and a skip list over that bitmap records which of *its*
     /// words went non-empty — so a drain touches O(words actually
-    /// dirtied), not O(map), and a session (or a whole batch) that reached
-    /// nothing new costs a single atomic swap. Equivalent to
+    /// dirtied), not O(map), and a session that reached nothing new
+    /// costs a single atomic swap. Equivalent to
     /// `snapshot().newly_covered(&accumulated)` followed by
     /// `accumulated.union_with(&snapshot)` when the map is quiescent; the
     /// caller must not race this drain against live probes (every in-tree

@@ -93,7 +93,8 @@ pub struct EngineStats {
     pub seeds_imported: u64,
 }
 
-/// What one fuzzing iteration (one protocol session) produced.
+/// What a [`FuzzEngine::run_batch`] call produced, summed over its
+/// sessions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IterationOutcome {
     /// Branches covered for the first time by this instance.
@@ -183,9 +184,6 @@ pub struct FuzzEngine<T: Target> {
     compiled_state: Option<CompiledStateModel>,
     /// Reusable session-plan buffer.
     plan_scratch: Vec<ModelId>,
-    /// Reusable per-message byte buffers; capacities stabilize at each
-    /// position's high-water message length.
-    sent_bufs: Vec<Vec<u8>>,
     /// Batch arena: every message of a [`FuzzEngine::run_batch`] call,
     /// rendered back to back; capacity stabilizes at the high-water batch
     /// footprint.
@@ -279,7 +277,6 @@ impl<T: Target> FuzzEngine<T> {
             lengths_scratch,
             compiled_state,
             plan_scratch: Vec::new(),
-            sent_bufs: Vec::new(),
             arena: Vec::new(),
             arena_ranges: Vec::new(),
             batch_faults: Vec::new(),
@@ -447,94 +444,19 @@ impl<T: Target> FuzzEngine<T> {
         Ok(())
     }
 
-    /// Runs one fuzzing iteration: walks a session through the state model,
-    /// generating/mutating one message per transition, and feeds back
-    /// coverage.
+    /// Runs `sessions` fuzzing iterations as one batch: every session
+    /// walks the state model, renders or mutates one message per
+    /// transition into the shared byte arena, sends them to the target as
+    /// one burst ([`Target::handle_batch`]) and settles its coverage before
+    /// the next session is planned.
     ///
-    /// # Panics
-    ///
-    /// Panics if the engine was never successfully [`start`](Self::start)ed.
-    pub fn run_iteration(&mut self) -> IterationOutcome {
-        assert!(self.started, "run_iteration before successful start");
-        self.target.begin_session();
-
-        // Plan the session into the reusable id buffer. The buffer is
-        // taken out of `self` for the iteration (and restored at the end)
-        // so borrowing it does not pin the rest of the engine.
-        let mut plan = std::mem::take(&mut self.plan_scratch);
-        plan.clear();
-        if !self.session_plans.is_empty() {
-            plan.extend_from_slice(&self.session_plans[self.next_plan % self.session_plans.len()]);
-            self.next_plan = self.next_plan.wrapping_add(1);
-        } else {
-            self.plan_random_session_into(&mut plan);
-        }
-
-        let mut outcome = IterationOutcome::default();
-        let mut bufs = std::mem::take(&mut self.sent_bufs);
-        if bufs.len() < plan.len() {
-            bufs.resize_with(plan.len(), Vec::new);
-        }
-        for (i, &model_id) in plan.iter().enumerate() {
-            let buf = &mut bufs[i];
-            buf.clear();
-            self.generate_message_into(model_id, buf, 0);
-
-            let response = self.target.handle(buf);
-            outcome.messages_sent += 1;
-            self.stats.messages += 1;
-            self.telemetry.messages.incr();
-            if let Some(fault) = response.fault {
-                self.stats.crashes_observed += 1;
-                self.telemetry.faults_observed.incr();
-                if self.faults.record(fault) {
-                    outcome.new_faults += 1;
-                }
-            }
-        }
-
-        // Coverage feedback: retain the whole session's inputs if anything
-        // new was reached. The map merges first-hit words straight into the
-        // accumulated set, so sessions that find nothing new never touch
-        // the heap here; seed bytes are copied into shared `Arc` buffers
-        // only on this cold path. Rarity must be peeked before the absorb
-        // drains the dirty words it is computed from.
-        let rarity = self.pending_rarity();
-        outcome.new_branches = self.map.absorb_new(&mut self.accumulated);
-        if outcome.new_branches > 0 {
-            for (i, &model_id) in plan.iter().enumerate() {
-                let seed = Seed::with_rarity(bufs[i].as_slice(), model_id, rarity);
-                let added = self.corpus.add(seed.clone());
-                self.record_add(added);
-                if added.retained() {
-                    self.outbox.push(seed);
-                }
-            }
-        }
-        self.plan_scratch = plan;
-        self.sent_bufs = bufs;
-        self.iterations += 1;
-        self.stats.sessions += 1;
-        self.telemetry.sessions.incr();
-        self.telemetry
-            .session_messages
-            .record(outcome.messages_sent as u64);
-        outcome
-    }
-
-    /// Runs `sessions` fuzzing iterations as one batch: every session is
-    /// planned and rendered into the shared byte arena, its messages cross
-    /// the target as one burst ([`Target::handle_batch`]), and the whole
-    /// batch is settled with a single word-parallel coverage diff.
-    ///
-    /// Batching is purely a throughput knob — `run_batch(n)` is
-    /// bit-identical to `n` [`FuzzEngine::run_iteration`] calls, for every
-    /// `n`: generation draws the same RNG sequence (mutations are confined
-    /// to each message's arena tail), per-session retention decisions come
-    /// from the map's first-hit counter (exactly what the per-session
-    /// absorb would have returned, since the accumulated set tracks the
-    /// map at batch boundaries), and faults bisect back to their session
-    /// in send order. The returned outcome aggregates the batch.
+    /// Batching is purely a throughput knob: `run_batch(n)` is
+    /// bit-identical to `n` calls of `run_batch(1)` under every
+    /// [`EngineConfig`]. Generation draws the same RNG sequence (mutations
+    /// are confined to each message's arena tail), retention and rarity
+    /// come from a per-session coverage absorb, and faults bisect back to
+    /// their session in send order. The returned outcome aggregates the
+    /// batch.
     ///
     /// # Panics
     ///
@@ -564,13 +486,10 @@ impl<T: Target> FuzzEngine<T> {
                 self.plan_random_session_into(&mut plan);
             }
 
-            // The first-hit counter before the session: retention below
-            // compares against it instead of absorbing per session.
-            let covered_before = self.map.covered_count();
             let first_message = ranges.len();
             for &model_id in &plan {
                 let start = arena.len();
-                self.generate_message_into(model_id, &mut arena, start);
+                self.generate_message_into(model_id, &mut arena);
                 ranges.push((start as u32, (arena.len() - start) as u32));
             }
 
@@ -588,19 +507,16 @@ impl<T: Target> FuzzEngine<T> {
             self.stats.messages += plan.len() as u64;
             self.telemetry.messages.add(plan.len() as u64);
 
-            // Retention must be decided now (the next session's corpus
-            // picks depend on it), but without draining the dirty words:
-            // the map's first-hit counter delta over the session equals
-            // what a per-session absorb would have returned, because the
-            // accumulated set matches the map at batch boundaries.
-            if self.map.covered_count() > covered_before {
-                // In batch mode the un-drained dirty words accumulate
-                // across the batch's sessions, so the peeked score covers
-                // everything new since the batch began — a coarser
-                // measurement than per-iteration scoring, which is why
-                // rarity scoring is opt-in rather than free with
-                // batching.
-                let rarity = self.pending_rarity();
+            // Coverage feedback: retain the session's inputs if it reached
+            // anything new. Only first hits set dirty bits, so a session
+            // that found nothing leaves nothing to drain; seed bytes are
+            // copied into shared `Arc` buffers only on this cold path.
+            // Rarity is peeked before the absorb drains the dirty words it
+            // is computed from.
+            let rarity = self.pending_rarity();
+            let new_branches = self.map.absorb_new(&mut self.accumulated);
+            if new_branches > 0 {
+                outcome.new_branches += new_branches;
                 for (&model_id, &(start, len)) in plan.iter().zip(&ranges[first_message..]) {
                     let seed = Seed::with_rarity(
                         &arena[start as usize..(start + len) as usize],
@@ -620,13 +536,6 @@ impl<T: Target> FuzzEngine<T> {
             self.telemetry.session_messages.record(plan.len() as u64);
         }
 
-        // One word-parallel diff settles the whole batch's coverage.
-        outcome.new_branches = self.map.absorb_new(&mut self.accumulated);
-        debug_assert_eq!(
-            self.accumulated.covered_count(),
-            self.map.covered_count(),
-            "accumulated set lost sync with the map across a batch"
-        );
         self.telemetry.batches.incr();
         self.telemetry.batch_sessions.record(sessions as u64);
         self.plan_scratch = plan;
@@ -636,12 +545,11 @@ impl<T: Target> FuzzEngine<T> {
         outcome
     }
 
-    /// Generates one message for `model_id` into `data[from..]` — the one
-    /// generation path shared by [`FuzzEngine::run_iteration`] (a cleared
-    /// per-message buffer, `from == 0`) and [`FuzzEngine::run_batch`] (the
-    /// arena tail). Mutations are confined to the appended tail, so the
-    /// draw sequence and resulting bytes are independent of `from`.
-    fn generate_message_into(&mut self, model_id: ModelId, data: &mut Vec<u8>, from: usize) {
+    /// Appends one message for `model_id` to `data`, the arena. Mutations
+    /// are confined to the appended tail, so the draw sequence and the
+    /// message bytes do not depend on what the arena already holds.
+    fn generate_message_into(&mut self, model_id: ModelId, data: &mut Vec<u8>) {
+        let from = data.len();
         // Generation-side mutation perturbs a persistent scratch twin
         // of the model, so the pristine structure survives —
         // interesting variants persist through the corpus instead.
@@ -900,9 +808,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "before successful start")]
-    fn iteration_without_start_panics() {
+    fn run_batch_without_start_panics() {
         let mut engine = FuzzEngine::new(ToyTarget::new(), toy_pit(), EngineConfig::default());
-        let _ = engine.run_iteration();
+        let _ = engine.run_batch(1);
     }
 
     #[test]
@@ -918,7 +826,7 @@ mod tests {
         engine.start(&ResolvedConfig::new()).unwrap();
         let mut total_new = 0;
         for _ in 0..300 {
-            let outcome = engine.run_iteration();
+            let outcome = engine.run_batch(1);
             total_new += outcome.new_branches;
         }
         // Branch 1 always; branch 2 (0xFF head) should be found by havoc.
@@ -944,7 +852,7 @@ mod tests {
             engine.start(&ResolvedConfig::new()).unwrap();
             let mut news = Vec::new();
             for _ in 0..100 {
-                news.push(engine.run_iteration().new_branches);
+                news.push(engine.run_batch(1).new_branches);
             }
             (
                 news,
@@ -978,7 +886,7 @@ mod tests {
         );
         engine.start(&ResolvedConfig::new()).unwrap();
         for _ in 0..100 {
-            engine.run_iteration();
+            engine.run_batch(1);
         }
         let stats = engine.stats();
         assert_eq!(stats.sessions, 100);
@@ -1009,9 +917,9 @@ mod tests {
         engine.attach_telemetry(EngineTelemetry::for_pipeline(&telemetry));
         engine.start(&ResolvedConfig::new()).unwrap();
         for _ in 0..25 {
-            engine.run_iteration();
+            engine.run_batch(1);
         }
-        // Batched execution must flush into the same counters.
+        // A larger batch must flush into the same counters.
         engine.run_batch(25);
         let stats = engine.stats();
         let snap = telemetry.metrics_snapshot();
@@ -1039,10 +947,11 @@ mod tests {
         let (_, hist) = histogram("engine.session_messages");
         assert_eq!(hist.count, stats.sessions);
         assert_eq!(hist.sum, stats.messages);
-        assert_eq!(snap.counter("engine.batches"), Some(1));
+        // 25 single-session batches, then one batch of 25.
+        assert_eq!(snap.counter("engine.batches"), Some(26));
         let (_, batches) = histogram("engine.batch_sessions");
-        assert_eq!(batches.count, 1);
-        assert_eq!(batches.sum, 25);
+        assert_eq!(batches.count, 26);
+        assert_eq!(batches.sum, 50);
     }
 
     #[test]
@@ -1061,7 +970,7 @@ mod tests {
         );
         engine.start(&ResolvedConfig::new()).unwrap();
         for _ in 0..300 {
-            engine.run_iteration();
+            engine.run_batch(1);
         }
         assert_eq!(engine.covered_count(), 3, "coverage still found");
         assert_eq!(engine.corpus_len(), 1, "capacity 1 evicts to one seed");
@@ -1086,7 +995,7 @@ mod tests {
         reference.start(&config).unwrap();
         let mut expected = Vec::new();
         for _ in 0..120 {
-            expected.push(reference.run_iteration());
+            expected.push(reference.run_batch(1));
         }
 
         // Checkpoint after 50, resume into a fresh engine, run the rest.
@@ -1094,7 +1003,7 @@ mod tests {
         first.start(&config).unwrap();
         let mut observed = Vec::new();
         for _ in 0..50 {
-            observed.push(first.run_iteration());
+            observed.push(first.run_batch(1));
         }
         let cp = first.checkpoint();
         drop(first);
@@ -1102,7 +1011,7 @@ mod tests {
         resumed.restore(&config, &cp).unwrap();
         assert_eq!(resumed.iterations(), 50);
         for _ in 0..70 {
-            observed.push(resumed.run_iteration());
+            observed.push(resumed.run_batch(1));
         }
 
         assert_eq!(observed, expected);
@@ -1186,47 +1095,38 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_is_bit_identical_to_iteration_loop() {
+    fn run_batch_is_bit_identical_at_every_batch_size() {
         let total = 126;
-        let run = |batch: usize| -> (Vec<usize>, String) {
+        let run = |batch: usize, corpus: CorpusConfig| -> (usize, String) {
             let mut engine = FuzzEngine::new(
                 ToyTarget::new(),
                 toy_pit(),
                 EngineConfig {
                     seed: 23,
+                    corpus,
                     ..EngineConfig::default()
                 },
             );
             engine.start(&ResolvedConfig::new()).unwrap();
-            let mut news = Vec::new();
+            let mut new_branches = 0;
             let mut remaining = total;
             while remaining > 0 {
                 let n = batch.min(remaining);
-                let outcome = if batch == 0 {
-                    engine.run_iteration()
-                } else {
-                    engine.run_batch(n)
-                };
-                news.push(outcome.new_branches);
-                remaining -= if batch == 0 { 1 } else { n };
+                new_branches += engine.run_batch(n).new_branches;
+                remaining -= n;
             }
-            (news, state_digest(&mut engine))
+            (new_branches, state_digest(&mut engine))
         };
-        let (reference_news, reference_state) = run(0);
-        for batch in [1usize, 7, 64, 256] {
-            let (news, state) = run(batch);
-            assert_eq!(
-                state, reference_state,
-                "batch size {batch} diverged from the iteration loop"
-            );
-            assert_eq!(
-                news.iter().sum::<usize>(),
-                reference_news.iter().sum::<usize>(),
-                "batch size {batch} found different total coverage"
-            );
+        for corpus in [CorpusConfig::default(), CorpusConfig::intelligent()] {
+            let reference = run(1, corpus);
+            for batch in [7usize, 64, 256] {
+                assert_eq!(
+                    run(batch, corpus),
+                    reference,
+                    "batch size {batch} diverged from batch 1 under {corpus:?}"
+                );
+            }
         }
-        // Batch size 1 also matches outcome-for-outcome, not just in sum.
-        assert_eq!(run(1).0, reference_news);
     }
 
     #[test]
@@ -1324,7 +1224,7 @@ mod tests {
         .unwrap();
         let mut engine = FuzzEngine::new(ToyTarget::new(), pit, EngineConfig::default());
         engine.start(&ResolvedConfig::new()).unwrap();
-        let outcome = engine.run_iteration();
+        let outcome = engine.run_batch(1);
         assert_eq!(outcome.messages_sent, 1);
     }
 }

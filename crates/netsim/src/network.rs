@@ -2,10 +2,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,6 +30,12 @@ struct LinkState {
     held: Option<Datagram>,
 }
 
+/// Locks a namespace table, recovering from poisoning: every table holds
+/// plain data that a panicked holder cannot leave half-updated.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 pub(crate) struct Inner {
     name: String,
     datagram_bindings: Mutex<HashMap<Addr, Sender<Datagram>>>,
@@ -40,7 +45,7 @@ pub(crate) struct Inner {
 
 impl Inner {
     fn deliver(&self, datagram: Datagram) -> Result<(), NetError> {
-        let bindings = self.datagram_bindings.lock();
+        let bindings = lock(&self.datagram_bindings);
         let sender = bindings
             .get(&datagram.dst)
             .ok_or(NetError::Unreachable(datagram.dst))?;
@@ -48,7 +53,7 @@ impl Inner {
     }
 
     fn transmit(&self, datagram: Datagram) -> Result<(), NetError> {
-        let mut link = self.link.lock();
+        let mut link = lock(&self.link);
         if link.conditions.is_perfect() {
             drop(link);
             return self.deliver(datagram);
@@ -97,7 +102,7 @@ impl Inner {
         arena: &[u8],
         ranges: &[(u32, u32)],
     ) -> Result<(), NetError> {
-        if !self.link.lock().conditions.is_perfect() {
+        if !lock(&self.link).conditions.is_perfect() {
             for &(start, len) in ranges {
                 self.transmit(Datagram {
                     src,
@@ -107,7 +112,7 @@ impl Inner {
             }
             return Ok(());
         }
-        let bindings = self.datagram_bindings.lock();
+        let bindings = lock(&self.datagram_bindings);
         let sender = bindings.get(&dst).ok_or(NetError::Unreachable(dst))?;
         sender
             .send_many(ranges.iter().map(|&(start, len)| Datagram {
@@ -188,7 +193,7 @@ impl Network {
     /// Returns [`NetError::AddrInUse`] if another datagram socket is already
     /// bound at `addr` on this network.
     pub fn bind_datagram(&self, addr: Addr) -> Result<DatagramSocket, NetError> {
-        let mut bindings = self.inner.datagram_bindings.lock();
+        let mut bindings = lock(&self.inner.datagram_bindings);
         if bindings.contains_key(&addr) {
             return Err(NetError::AddrInUse(addr));
         }
@@ -226,7 +231,7 @@ impl Network {
     /// checkpointing. Non-destructive.
     #[must_use]
     pub fn export_link_state(&self) -> ([u64; 4], Option<Datagram>) {
-        let link = self.inner.link.lock();
+        let link = lock(&self.inner.link);
         (link.rng.state(), link.held.clone())
     }
 
@@ -234,7 +239,7 @@ impl Network {
     /// [`Network::export_link_state`] into this network (typically a fresh
     /// one built with the same [`LinkConditions`]).
     pub fn restore_link_state(&self, rng: [u64; 4], held: Option<Datagram>) {
-        let mut link = self.inner.link.lock();
+        let mut link = lock(&self.inner.link);
         link.rng = StdRng::from_state(rng);
         link.held = held;
     }
@@ -263,9 +268,9 @@ impl fmt::Debug for Network {
             .field("name", &self.inner.name)
             .field(
                 "datagram_bindings",
-                &self.inner.datagram_bindings.lock().len(),
+                &lock(&self.inner.datagram_bindings).len(),
             )
-            .field("listeners", &self.inner.listeners.lock().len())
+            .field("listeners", &lock(&self.inner.listeners).len())
             .finish()
     }
 }
@@ -361,7 +366,7 @@ impl DatagramSocket {
 
 impl Drop for DatagramSocket {
     fn drop(&mut self) {
-        self.net.datagram_bindings.lock().remove(&self.addr);
+        lock(&self.net.datagram_bindings).remove(&self.addr);
     }
 }
 

@@ -4,6 +4,7 @@ use std::fmt;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
+use crate::network::lock;
 use crate::{Addr, NetError, Network};
 
 /// One end of a bidirectional, ordered, reliable byte stream.
@@ -121,7 +122,7 @@ impl StreamListener {
 
 impl Drop for StreamListener {
     fn drop(&mut self) {
-        self.net.inner.listeners.lock().remove(&self.addr);
+        lock(&self.net.inner.listeners).remove(&self.addr);
     }
 }
 
@@ -135,7 +136,7 @@ impl fmt::Debug for StreamListener {
 }
 
 pub(crate) fn listen(net: &Network, addr: Addr) -> Result<StreamListener, NetError> {
-    let mut listeners = net.inner.listeners.lock();
+    let mut listeners = lock(&net.inner.listeners);
     if listeners.contains_key(&addr) {
         return Err(NetError::AddrInUse(addr));
     }
@@ -149,7 +150,7 @@ pub(crate) fn listen(net: &Network, addr: Addr) -> Result<StreamListener, NetErr
 }
 
 pub(crate) fn connect(net: &Network, local: Addr, remote: Addr) -> Result<StreamConn, NetError> {
-    let listeners = net.inner.listeners.lock();
+    let listeners = lock(&net.inner.listeners);
     let acceptor = listeners
         .get(&remote)
         .ok_or(NetError::ConnectionRefused(remote))?;

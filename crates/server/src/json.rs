@@ -10,6 +10,8 @@
 
 use std::fmt;
 
+use cmfuzz_telemetry::json::MAX_DEPTH;
+
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -109,13 +111,14 @@ impl std::error::Error for JsonError {}
 ///
 /// # Errors
 ///
-/// [`JsonError`] with the byte offset of the first defect.
+/// [`JsonError`] with the byte offset of the first defect; arrays and
+/// objects nested deeper than [`MAX_DEPTH`] are a defect.
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
     };
-    let value = parser.value()?;
+    let value = parser.value(0)?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
         return Err(parser.error("trailing data after JSON value"));
@@ -142,11 +145,15 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
+    /// Parses one value nested inside `depth` arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(self.error("arrays and objects nested too deeply"))
+            }
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => self.string().map(JsonValue::String),
             Some(b't') => self.literal(b"true", JsonValue::Bool(true)),
             Some(b'f') => self.literal(b"false", JsonValue::Bool(false)),
@@ -165,7 +172,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.pos += 1; // '{'
         let mut members = Vec::new();
         self.skip_ws();
@@ -181,7 +188,7 @@ impl Parser<'_> {
                 return Err(self.error("expected ':' after object key"));
             }
             self.pos += 1;
-            let value = self.value()?;
+            let value = self.value(depth)?;
             members.push((key, value));
             self.skip_ws();
             match self.bytes.get(self.pos) {
@@ -195,7 +202,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.pos += 1; // '['
         let mut items = Vec::new();
         self.skip_ws();
@@ -204,7 +211,7 @@ impl Parser<'_> {
             return Ok(JsonValue::Array(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.bytes.get(self.pos) {
                 Some(b',') => self.pos += 1,
@@ -401,6 +408,17 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let past_limit = parse(&format!("[{at_limit}]")).expect_err("one level too deep");
+        assert_eq!(past_limit.offset, MAX_DEPTH);
+        // Deep enough to overflow the stack without the bound.
+        assert!(parse(&"[".repeat(50_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(50_000)).is_err());
     }
 
     #[test]

@@ -89,13 +89,19 @@ impl ObjectWriter {
     }
 }
 
+/// Deepest array/object nesting accepted by [`is_valid`] and by the
+/// control plane's JSON parser. Both recurse once per level, so deeper
+/// documents are rejected instead of overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Validates that `text` is one well-formed JSON value (used by the test
 /// suite to keep the JSONL sink honest without a parser dependency).
+/// Values nested deeper than [`MAX_DEPTH`] are invalid.
 #[must_use]
 pub fn is_valid(text: &str) -> bool {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    if !parse_value(bytes, &mut pos) {
+    if !parse_value(bytes, &mut pos, 0) {
         return false;
     }
     skip_ws(bytes, &mut pos);
@@ -108,11 +114,13 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> bool {
+/// Parses one value nested inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> bool {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => false,
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos),
         Some(b't') => parse_literal(bytes, pos, b"true"),
         Some(b'f') => parse_literal(bytes, pos, b"false"),
@@ -131,7 +139,7 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> bool {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> bool {
     *pos += 1; // '{'
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b'}') {
@@ -148,7 +156,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> bool {
             return false;
         }
         *pos += 1;
-        if !parse_value(bytes, pos) {
+        if !parse_value(bytes, pos, depth) {
             return false;
         }
         skip_ws(bytes, pos);
@@ -163,7 +171,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> bool {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> bool {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> bool {
     *pos += 1; // '['
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b']') {
@@ -171,7 +179,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> bool {
         return true;
     }
     loop {
-        if !parse_value(bytes, pos) {
+        if !parse_value(bytes, pos, depth) {
             return false;
         }
         skip_ws(bytes, pos);
@@ -295,6 +303,17 @@ mod tests {
         ] {
             assert!(!is_valid(bad), "{bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(is_valid(&at_limit));
+        let past_limit = format!("[{at_limit}]");
+        assert!(!is_valid(&past_limit));
+        // Deep enough to overflow the stack without the bound.
+        assert!(!is_valid(&"[".repeat(50_000)));
+        assert!(!is_valid(&"{\"a\":".repeat(50_000)));
     }
 
     #[test]

@@ -44,10 +44,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 ///    pick sequences and branch totals by a branch or two per subject.
 ///    `CampaignResult` also gained Debug-visible corpus occupancy and
 ///    per-corpus statistics fields. The RNG *call pattern* is pinned
-///    unchanged by `default_config_rng_stream_matches_legacy_uniform`
-///    and the legacy-vs-optimized trajectory test in `cmfuzz-bench`,
-///    which replays the same dedup rule through the pre-optimization
-///    loop shape.
+///    unchanged by `default_config_rng_stream_matches_legacy_uniform`;
+///    at the time a trajectory test also replayed the same dedup rule
+///    through a replica of the pre-optimization loop (since deleted).
 const EXPECTED: [(&str, usize, usize, u64); 6] = [
     ("mosquitto", 46, 0, 0x26e3_3f3d_f648_b2b3),
     ("libcoap", 57, 0, 0x3b0e_2ea8_844a_bb0d),

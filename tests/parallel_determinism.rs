@@ -18,6 +18,7 @@ use cmfuzz::campaign::CampaignOptions;
 use cmfuzz::schedule::ScheduleOptions;
 use cmfuzz_bench::{report, table1_with_jobs, table2_with_jobs, ExperimentScale};
 use cmfuzz_coverage::{Ticks, VirtualClock};
+use cmfuzz_fuzzer::{CorpusConfig, EngineConfig};
 use cmfuzz_netsim::LinkConditions;
 use cmfuzz_protocols::spec_by_name;
 use cmfuzz_telemetry::{RingBufferSink, Telemetry};
@@ -90,32 +91,52 @@ fn worker_pool_campaigns_match_inline_reference() {
 fn batch_size_is_invisible_across_the_worker_pool() {
     // Batched execution (FuzzEngine::run_batch via CampaignOptions::batch)
     // and the worker pool are independent throughput knobs; every
-    // combination must reproduce the inline batch-1 reference exactly.
-    let spec = spec_by_name("libcoap").expect("subject exists");
-    let reference_options = CampaignOptions {
-        instances: 3,
-        budget: Ticks::new(1_200),
-        sample_interval: Ticks::new(100),
-        saturation_window: Ticks::new(300),
-        seed: 7,
-        worker_pool: false,
-        batch: 1,
-        ..CampaignOptions::default()
-    };
-    let reference = run_cmfuzz(&spec, &ScheduleOptions::default(), &reference_options);
-    for (worker_pool, batch) in [(true, 1), (false, 64), (true, 64)] {
-        let options = CampaignOptions {
-            worker_pool,
-            batch,
-            ..reference_options.clone()
-        };
-        let result = run_cmfuzz(&spec, &ScheduleOptions::default(), &options);
-        assert_eq!(
-            format!("{result:?}"),
-            format!("{reference:?}"),
-            "diverged at worker_pool {worker_pool}, batch {batch}"
-        );
+    // combination must reproduce the inline batch-1 reference exactly,
+    // under every corpus configuration — rarity scoring included, since
+    // each session settles its own coverage inside a batch.
+    let corpus_configs = (0..8u8).map(|bits| CorpusConfig {
+        near_dedup: bits & 1 != 0,
+        rarity_weighted_pick: bits & 2 != 0,
+        rarity_eviction: bits & 4 != 0,
+    });
+    let executions = [(true, 1), (false, 7), (true, 7), (false, 64), (true, 64)];
+    let mut cases = 0;
+    for corpus in corpus_configs {
+        for subject in ["libcoap", "mosquitto", "dnsmasq"] {
+            let spec = spec_by_name(subject).expect("subject exists");
+            let reference_options = CampaignOptions {
+                instances: 3,
+                budget: Ticks::new(1_200),
+                sample_interval: Ticks::new(100),
+                saturation_window: Ticks::new(300),
+                seed: 7,
+                worker_pool: false,
+                batch: 1,
+                engine: EngineConfig {
+                    corpus,
+                    ..EngineConfig::default()
+                },
+                ..CampaignOptions::default()
+            };
+            let reference = run_cmfuzz(&spec, &ScheduleOptions::default(), &reference_options);
+            let reference = format!("{reference:?}");
+            for (worker_pool, batch) in executions {
+                let options = CampaignOptions {
+                    worker_pool,
+                    batch,
+                    ..reference_options.clone()
+                };
+                let result = run_cmfuzz(&spec, &ScheduleOptions::default(), &options);
+                assert_eq!(
+                    format!("{result:?}"),
+                    reference,
+                    "{subject} diverged at worker_pool {worker_pool}, batch {batch} under {corpus:?}"
+                );
+                cases += 1;
+            }
+        }
     }
+    assert_eq!(cases, 120);
 }
 
 #[test]

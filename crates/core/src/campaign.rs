@@ -5,8 +5,11 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
 use cmfuzz_config_model::{ConfigValue, ConstraintSet, ResolvedConfig};
 use cmfuzz_coverage::{CoverageSnapshot, SaturationDetector, Ticks, VirtualClock};
+use cmfuzz_fuzzer::pit::{self, PitDefinition};
 use cmfuzz_fuzzer::state_codec::{StateReader, StateWriter};
-use cmfuzz_fuzzer::{pit, EngineCheckpoint, EngineConfig, FaultLog, FuzzEngine, Seed, StartError};
+use cmfuzz_fuzzer::{
+    EngineCheckpoint, EngineConfig, FaultLog, FuzzEngine, Seed, StartError, SEED_OUTBOX_CAP,
+};
 use cmfuzz_netsim::LinkConditions;
 use cmfuzz_protocols::{NetworkedTarget, ProtocolSpec, ProtocolTarget};
 use cmfuzz_telemetry::{EngineTelemetry, Event, Telemetry};
@@ -130,18 +133,31 @@ struct InstanceCheckpoint {
     stalled: bool,
 }
 
+impl InstanceCheckpoint {
+    /// Retained seeds, oldest first, then the seeds imported since the
+    /// pause: the corpus the next resume rebuilds, before deduplication.
+    fn seeds(&self) -> impl Iterator<Item = &Seed> {
+        self.engine.corpus.iter().chain(&self.engine.pending)
+    }
+}
+
 /// A campaign paused at a round boundary: everything
 /// [`run_campaign_slice`] needs to resume it and reproduce the
 /// uninterrupted [`run_campaign`] byte-for-byte.
 ///
-/// The checkpoint owns clones of all mutable campaign state (engine
-/// corpora, accumulated coverage, RNG stream positions, fault logs, the
-/// coverage curve, the virtual clock reading), so it stays valid after the
-/// slice that produced it returns and across any number of other
-/// campaigns' slices in between — the property the fleet scheduler is
-/// built on.
+/// The checkpoint owns all mutable campaign state (the seeds moved out of
+/// each engine's corpus, seeds imported since, accumulated coverage, RNG
+/// stream positions, fault logs, the coverage curve, the virtual clock
+/// reading), so it stays valid after the slice that produced it returns
+/// and across any number of other campaigns' slices in between — the
+/// property the fleet scheduler is built on. It also shares the parsed
+/// Pit the campaign booted with, so a resume skips parsing it again.
+///
+/// It is a plain data snapshot: no engine or corpus index stays resident
+/// between slices, and cloning it shares the Pit and every seed's bytes.
 #[derive(Debug, Clone)]
 pub struct CampaignCheckpoint {
+    pit: Arc<PitDefinition>,
     fuzzer: String,
     target: String,
     budget: Ticks,
@@ -217,18 +233,16 @@ impl CampaignCheckpoint {
     }
 
     /// Corpus occupancy at pause time, summed over instances — the
-    /// memory-cap evidence fleet benchmarks report per campaign.
+    /// memory-cap evidence fleet benchmarks report per campaign. Seeds
+    /// imported since the pause count as resident.
     #[must_use]
     pub fn corpus_occupancy(&self) -> CorpusOccupancy {
         let mut occupancy = CorpusOccupancy::default();
         for instance in &self.instances {
-            occupancy.seeds += instance.engine.corpus.len();
-            occupancy.approx_bytes += instance
-                .engine
-                .corpus
-                .iter()
-                .map(|s| s.bytes.len())
-                .sum::<usize>();
+            for seed in instance.seeds() {
+                occupancy.seeds += 1;
+                occupancy.approx_bytes += seed.bytes.len();
+            }
         }
         occupancy
     }
@@ -236,18 +250,19 @@ impl CampaignCheckpoint {
     /// Serializes up to `max` of this campaign's rarest retained seeds
     /// into a portable seed pack for fleet-wide sharing.
     ///
-    /// Candidates are drawn from every instance corpus, ordered by rarity
-    /// score ascending (lower = rarer coverage; unscored seeds carry 0 and
-    /// sort first) with ties broken by instance order then retention
-    /// order, and deduplicated by content hash so one campaign never
-    /// donates the same input twice. The pack is self-describing:
+    /// Candidates are drawn from every instance corpus, seeds imported
+    /// since the pause included, ordered by rarity score ascending
+    /// (lower = rarer coverage; unscored seeds carry 0 and sort first)
+    /// with ties broken by instance order then retention order (imports
+    /// after the instance's retained seeds), and deduplicated by content
+    /// hash so one campaign never donates the same input twice. The pack is self-describing:
     /// [`CampaignCheckpoint::import_seed_pack`] on any campaign of the
     /// same subject can decode it.
     #[must_use]
     pub fn export_rare_seeds(&self, max: usize) -> Vec<u8> {
         let mut candidates: Vec<&Seed> = Vec::new();
         for instance in &self.instances {
-            candidates.extend(instance.engine.corpus.iter());
+            candidates.extend(instance.seeds());
         }
         // Stable sort: equal rarities keep (instance, retention) order.
         candidates.sort_by_key(|s| s.rarity);
@@ -277,12 +292,15 @@ impl CampaignCheckpoint {
     /// Instances whose running configuration violates the constraint set
     /// (adaptive mutation may have moved it into a region the subject's
     /// models declare unreachable) reject the whole pack; each rejected
-    /// seed counts once per rejecting instance. Accepted seeds are
-    /// appended to the instance's checkpointed corpus — the next
-    /// [`run_campaign_slice`] restore replays them through the engine's
+    /// seed counts once per rejecting instance. Accepted seeds wait in the
+    /// instance's pending list until the next [`run_campaign_slice`]
+    /// resume, which offers them to the engine's corpus through its
     /// normal retention path, so exact and near duplicates of seeds the
-    /// recipient already holds are still dropped there; seeds already
-    /// present verbatim are skipped here without counting.
+    /// recipient already holds are still dropped there. Until then they
+    /// count toward [`CampaignCheckpoint::corpus_occupancy`] and are
+    /// donated by [`CampaignCheckpoint::export_rare_seeds`] like retained
+    /// seeds. Seeds already present verbatim, retained or pending, are
+    /// skipped here without counting.
     ///
     /// # Panics
     ///
@@ -301,14 +319,12 @@ impl CampaignCheckpoint {
             }
             for seed in &seeds {
                 let duplicate = instance
-                    .engine
-                    .corpus
-                    .iter()
+                    .seeds()
                     .any(|s| s.content_hash() == seed.content_hash() && s.bytes == seed.bytes);
                 if duplicate {
                     continue;
                 }
-                instance.engine.corpus.push(seed.clone());
+                instance.engine.pending.push(seed.clone());
                 instance.engine.stats.seeds_imported += 1;
                 accepted += 1;
             }
@@ -599,7 +615,7 @@ pub fn run_campaign_slice_with_control(
     fuzzer: &str,
     setups: &[InstanceSetup],
     options: &CampaignOptions,
-    checkpoint: Option<CampaignCheckpoint>,
+    mut checkpoint: Option<CampaignCheckpoint>,
     slice_budget: Ticks,
     telemetry: &Telemetry,
     control: Option<&CampaignControl>,
@@ -607,28 +623,38 @@ pub fn run_campaign_slice_with_control(
     if setups.is_empty() {
         return Err(CampaignError::NoInstances);
     }
-    if let Some(resume) = &checkpoint {
-        assert_eq!(
-            resume.target, spec.name,
-            "checkpoint is for {}",
-            resume.target
-        );
-        assert_eq!(
-            resume.instances.len(),
-            setups.len(),
-            "checkpoint was taken with a different instance count"
-        );
-    }
-    let pit = pit::parse(spec.pit_document).map_err(|error| CampaignError::PitParse {
-        target: spec.name.to_owned(),
-        error,
-    })?;
-    if checkpoint.is_none() && !options.skip_preflight {
-        let report = crate::preflight::preflight_campaign(spec, &pit, setups, telemetry);
-        if report.has_errors() {
-            return Err(CampaignError::Preflight(report.into_diagnostics()));
+    // A resume reuses the Pit the campaign booted with and takes the
+    // instance checkpoints out to move them into the engines; only a
+    // fresh boot parses the Pit and runs preflight.
+    let (pit, mut saved) = match &mut checkpoint {
+        Some(resume) => {
+            assert_eq!(
+                resume.target, spec.name,
+                "checkpoint is for {}",
+                resume.target
+            );
+            assert_eq!(
+                resume.instances.len(),
+                setups.len(),
+                "checkpoint was taken with a different instance count"
+            );
+            let saved = std::mem::take(&mut resume.instances);
+            (Arc::clone(&resume.pit), saved.into_iter())
         }
-    }
+        None => {
+            let pit = pit::parse(spec.pit_document).map_err(|error| CampaignError::PitParse {
+                target: spec.name.to_owned(),
+                error,
+            })?;
+            if !options.skip_preflight {
+                let report = crate::preflight::preflight_campaign(spec, &pit, setups, telemetry);
+                if report.has_errors() {
+                    return Err(CampaignError::Preflight(report.into_diagnostics()));
+                }
+            }
+            (Arc::new(pit), Vec::new().into_iter())
+        }
+    };
     telemetry.set_campaign(options.campaign_id.as_deref());
     let engine_telemetry = EngineTelemetry::for_pipeline(telemetry);
 
@@ -649,13 +675,12 @@ pub fn run_campaign_slice_with_control(
                 .wrapping_add(i as u64),
             ..options.engine.clone()
         };
-        let mut engine = FuzzEngine::new(target, pit.clone(), engine_config);
-        let instance = if let Some(resume) = &checkpoint {
-            let saved = &resume.instances[i];
+        let mut engine = FuzzEngine::new(target, (*pit).clone(), engine_config);
+        let instance = if let Some(saved) = saved.next() {
             engine.set_session_plans(&setup.session_plans);
             engine.attach_telemetry(engine_telemetry.clone());
             engine
-                .restore(&saved.config, &saved.engine)
+                .restore(&saved.config, saved.engine)
                 .map_err(|error| CampaignError::TargetBoot {
                     target: spec.name.to_owned(),
                     instance: i,
@@ -663,9 +688,9 @@ pub fn run_campaign_slice_with_control(
                 })?;
             Instance {
                 engine,
-                config: saved.config.clone(),
+                config: saved.config,
                 adaptive: setup.adaptive_entities.clone(),
-                saturation: saved.saturation.clone(),
+                saturation: saved.saturation,
                 rng: StdRng::from_state(saved.rng),
                 stalled: saved.stalled,
             }
@@ -971,6 +996,7 @@ pub fn run_campaign_slice_with_control(
         interrupted,
     };
     let checkpoint = CampaignCheckpoint {
+        pit,
         fuzzer: fuzzer.to_owned(),
         target: spec.name.to_owned(),
         budget: options.budget,
@@ -1016,7 +1042,7 @@ fn sync_seeds(instances: &mut [MutexGuard<'_, Instance>]) -> usize {
             if i != j {
                 // Cap what is shared per round so one lucky instance cannot
                 // flood everyone's corpus.
-                let shared = &outbox[..outbox.len().min(16)];
+                let shared = &outbox[..outbox.len().min(SEED_OUTBOX_CAP)];
                 instance.engine.import_seeds(shared);
                 copies += shared.len();
             }

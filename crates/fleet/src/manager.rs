@@ -24,6 +24,7 @@ use cmfuzz::metrics::CampaignResult;
 use cmfuzz::preflight::{analyze_fleet_schedule, analyze_reachability_for, FleetEntryView};
 use cmfuzz::CampaignError;
 use cmfuzz_bench::grid;
+use cmfuzz_config_model::ConstraintSet;
 use cmfuzz_coverage::{Ticks, VirtualClock};
 use cmfuzz_fuzzer::Target;
 use cmfuzz_telemetry::{Counter, Telemetry};
@@ -124,6 +125,14 @@ pub(crate) struct FleetEntry {
     /// skipped). Fed to the scheduling policy as a prior before the
     /// campaign's first lease.
     reachable_branches: Option<usize>,
+    /// The subject's declared startup constraints, computed once at
+    /// admission; seed-pack imports into this campaign check them.
+    constraints: ConstraintSet,
+    /// This campaign's rare-seed pack as exported from its current
+    /// checkpoint. Exported when an exchange first needs it and dropped
+    /// when a lease replaces the checkpoint or an import adds seeds to it,
+    /// so an unchanged campaign is not re-exported every wave.
+    pack: Option<Vec<u8>>,
 }
 
 impl FleetEntry {
@@ -131,6 +140,7 @@ impl FleetEntry {
         let mut prepared = campaign.options.clone();
         prepared.campaign_id = Some(campaign.id.clone());
         prepared.worker_pool = false;
+        let constraints = (campaign.spec.build)().config_constraints();
         FleetEntry {
             campaign,
             prepared,
@@ -140,6 +150,8 @@ impl FleetEntry {
             paused: false,
             killed: false,
             reachable_branches,
+            constraints,
+            pack: None,
         }
     }
 
@@ -544,6 +556,7 @@ impl FleetManager {
                 wave_progress = true;
             }
             self.entries[index].checkpoint = Some(checkpoint);
+            self.entries[index].pack = None;
         }
         self.waves += 1;
         self.waves_counter.incr();
@@ -625,9 +638,12 @@ impl FleetManager {
 /// All packs are exported before any import, so a seed accepted this wave
 /// propagates further only at the next boundary — the exchange is
 /// order-independent within a wave apart from the deterministic fleet
-/// ordering of the recipients themselves. Donations across subjects are
-/// rejected wholesale (seed model ids index the donor's Pit model table,
-/// which only campaigns of the same subject share); within a subject,
+/// ordering of the recipients themselves. A member's pack is exported
+/// only when its checkpoint changed since the last export (a lease, or an
+/// import that accepted seeds); otherwise the cached pack is donated.
+/// Donations across subjects are rejected wholesale (seed model ids
+/// index the donor's Pit model table, which only campaigns of the same
+/// subject share); within a subject,
 /// [`CampaignCheckpoint::import_seed_pack`] additionally rejects
 /// instances whose running configuration violates the subject's declared
 /// startup constraints. Killed campaigns neither donate nor receive.
@@ -656,20 +672,22 @@ pub(crate) fn exchange_rare_seeds(entries: &mut [FleetEntry], max_per_donor: usi
         if members.len() < 2 {
             continue;
         }
+        // The packs leave the cache for the exchange; each goes back
+        // unless an import changed its donor's corpus.
         let packs: Vec<Vec<u8>> = members
             .iter()
             .map(|&i| {
-                entries[i]
-                    .checkpoint
-                    .as_ref()
-                    .expect("grouped members are checkpointed")
-                    .export_rare_seeds(max_per_donor)
+                let entry = &mut entries[i];
+                entry.pack.take().unwrap_or_else(|| {
+                    entry
+                        .checkpoint
+                        .as_ref()
+                        .expect("grouped members are checkpointed")
+                        .export_rare_seeds(max_per_donor)
+                })
             })
             .collect();
-        let constraints: Vec<_> = members
-            .iter()
-            .map(|&i| (entries[i].campaign.spec.build)().config_constraints())
-            .collect();
+        let mut changed = vec![false; members.len()];
         for (donor_slot, &donor) in members.iter().enumerate() {
             for (recipient_slot, &recipient) in members.iter().enumerate() {
                 if recipient == donor {
@@ -679,14 +697,21 @@ pub(crate) fn exchange_rare_seeds(entries: &mut [FleetEntry], max_per_donor: usi
                     rejected_total += seed_pack_len(&packs[donor_slot]) as u64;
                     continue;
                 }
-                let checkpoint = entries[recipient]
+                let entry = &mut entries[recipient];
+                let checkpoint = entry
                     .checkpoint
                     .as_mut()
                     .expect("grouped members are checkpointed");
                 let (accepted, rejected) =
-                    checkpoint.import_seed_pack(&packs[donor_slot], &constraints[recipient_slot]);
+                    checkpoint.import_seed_pack(&packs[donor_slot], &entry.constraints);
+                changed[recipient_slot] |= accepted > 0;
                 accepted_total += accepted;
                 rejected_total += rejected;
+            }
+        }
+        for ((&member, pack), changed) in members.iter().zip(packs).zip(changed) {
+            if !changed {
+                entries[member].pack = Some(pack);
             }
         }
     }
@@ -921,6 +946,77 @@ mod tests {
                 a.id
             );
         }
+    }
+
+    #[test]
+    fn cached_seed_packs_match_a_fresh_export() {
+        use cmfuzz_config_model::{Condition, ConfigConstraint};
+
+        let telemetry = Telemetry::disabled();
+        let mut manager = FleetManager::new(
+            FleetOptions {
+                slots: 1,
+                slice: Ticks::new(100),
+                share_rare_seeds: 4,
+                ..FleetOptions::default()
+            },
+            &telemetry,
+        );
+        let fleet = [3, 5, 7]
+            .iter()
+            .enumerate()
+            .map(|(i, &seed)| {
+                let mut campaign = campaign("mosquitto", &format!("m/{i}"), seed, 600);
+                // Two seeds per instance: a default-config pack donates
+                // the oldest seeds, then imported ones, so every lease
+                // (which evicts the oldest) and every accepted import
+                // changes it.
+                campaign.options.engine.corpus_capacity = 2;
+                campaign.share_group = Some("mqtt".into());
+                campaign
+            })
+            .collect();
+        manager.admit_batch(fleet).expect("admission");
+        // Every configuration violates the third campaign's constraints,
+        // so it rejects every pack at every exchange.
+        manager.entries[2].constraints = ConstraintSet::new().with(ConfigConstraint::new(
+            "no configuration is acceptable",
+            vec![Condition::int_outside("unset", 1, 10, 0)],
+        ));
+
+        let mut policy = RoundRobin::new();
+        let mut accepting_waves = 0;
+        let mut cached_packs = 0;
+        loop {
+            let shared = manager.seeds_shared;
+            let rejected = manager.seeds_share_rejected;
+            if let WaveOutcome::Idle(_) = manager.step_wave(&mut policy).expect("wave") {
+                break;
+            }
+            if manager.seeds_shared > shared {
+                accepting_waves += 1;
+            }
+            if manager.entries.iter().all(|e| e.checkpoint.is_some()) {
+                assert!(
+                    manager.seeds_share_rejected > rejected,
+                    "the rejecting recipient is counted at every exchange"
+                );
+            }
+            for entry in &manager.entries {
+                let checkpoint = entry.checkpoint.as_ref();
+                if let Some(pack) = &entry.pack {
+                    cached_packs += 1;
+                    let fresh = checkpoint
+                        .expect("cached packs are live")
+                        .export_rare_seeds(4);
+                    assert_eq!(pack, &fresh, "{}: stale pack", entry.campaign.id);
+                }
+            }
+        }
+        assert!(accepting_waves > 0, "recipients accepted seeds");
+        assert!(cached_packs > 0, "unchanged campaigns keep their packs");
+        let rejecting = manager.entries[2].checkpoint.clone().expect("leased");
+        assert_eq!(rejecting.into_result().stats.seeds_imported, 0);
     }
 
     #[test]

@@ -379,6 +379,58 @@ impl Corpus {
             evicted = true;
         }
         let model = seed.model.index();
+        self.push_indexed(seed);
+        if self.config.rarity_weighted_pick {
+            self.rebuild_global_table();
+            self.rebuild_model_table(model);
+        }
+        AddOutcome::Added { evicted }
+    }
+
+    /// Rebuilds a corpus from the seeds a corpus of the same capacity and
+    /// configuration retained, oldest first (see [`Corpus::into_seeds`]).
+    ///
+    /// Equivalent to offering `seeds` to [`Corpus::add`] in order, but
+    /// indexes them in one pass and builds the weighted-pick tables once:
+    /// retained seeds are pairwise non-duplicate (every seed passed the
+    /// dedup checks against each older survivor when it was added) and
+    /// within capacity, so no add would have dropped or evicted anything.
+    #[must_use]
+    pub fn from_retained(capacity: usize, config: CorpusConfig, seeds: Vec<Seed>) -> Self {
+        debug_assert!(
+            capacity == 0 || seeds.len() <= capacity,
+            "retained seeds fit the capacity"
+        );
+        let mut corpus = Corpus::with_config(capacity, config);
+        corpus.seeds.reserve_exact(seeds.len());
+        for seed in seeds {
+            debug_assert!(!corpus.contains_exact(&seed), "retained seeds are distinct");
+            debug_assert!(
+                !(config.near_dedup && corpus.has_near_duplicate(&seed)),
+                "retained seeds are not near-duplicates"
+            );
+            corpus.push_indexed(seed);
+        }
+        if config.rarity_weighted_pick {
+            corpus.rebuild_global_table();
+            for model in 0..corpus.by_model.len() {
+                corpus.rebuild_model_table(model);
+            }
+        }
+        corpus
+    }
+
+    /// Consumes the corpus into its seeds, oldest first, without cloning
+    /// them; [`Corpus::from_retained`] rebuilds the identical corpus.
+    #[must_use]
+    pub fn into_seeds(self) -> Vec<Seed> {
+        self.seeds.into()
+    }
+
+    /// Appends `seed` as the newest entry and files it in every index.
+    /// The weighted-pick tables are left to the caller.
+    fn push_indexed(&mut self, seed: Seed) {
+        let model = seed.model.index();
         if self.by_model.len() <= model {
             self.by_model.resize_with(model + 1, VecDeque::new);
             self.model_tables
@@ -397,11 +449,6 @@ impl Corpus {
         }
         self.bytes_total += seed.bytes.len();
         self.seeds.push_back(seed);
-        if self.config.rarity_weighted_pick {
-            self.rebuild_global_table();
-            self.rebuild_model_table(model);
-        }
-        AddOutcome::Added { evicted }
     }
 
     /// Whether a byte-identical seed of the same model is retained.

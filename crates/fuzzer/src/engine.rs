@@ -12,6 +12,12 @@ use crate::{
     FieldNameTable, ModelId, ModelTable, Mutator, RenderProgram, Seed, StartError, Target,
 };
 
+/// Most seeds an engine keeps for synchronization between two
+/// [`FuzzEngine::export_new_seeds`] drains: the first this many retained
+/// since the last drain. A synchronization round shares at most this many
+/// seeds per instance, so the outbox never holds more.
+pub const SEED_OUTBOX_CAP: usize = 16;
+
 /// Tunables of a fuzzing instance.
 ///
 /// # Examples
@@ -107,15 +113,17 @@ pub struct IterationOutcome {
 
 /// Everything a paused [`FuzzEngine`] needs to resume byte-identically:
 /// the accumulated coverage, both RNG stream positions, the retained
-/// corpus and outbox (seed bytes shared by `Arc`, so a checkpoint of a
-/// large corpus is cheap), the fault log, execution counters and the
+/// seeds (moved out of the engine's corpus, not cloned), seeds accepted
+/// while paused, the outbox, the fault log, execution counters and the
 /// target's exported cross-session state.
 ///
 /// Produced by [`FuzzEngine::checkpoint`], consumed by
-/// [`FuzzEngine::restore`]. Deliberately *not* tied to the engine's
-/// compiled artifacts (render programs, interned model tables): those are
-/// pure functions of the Pit and session plans, so a restored engine
-/// rebuilds them from scratch and the ids line up.
+/// [`FuzzEngine::restore`]. A plain data snapshot: cloning it is cheap
+/// (seed bytes are `Arc`-shared), and it is deliberately *not* tied to the
+/// engine's indexes or compiled artifacts (corpus indexes, render
+/// programs, interned model tables). Those are pure functions of the
+/// seeds, the Pit and the session plans, so a restored engine rebuilds
+/// them and the ids line up.
 #[derive(Debug, Clone)]
 pub struct EngineCheckpoint {
     /// Union coverage at checkpoint time.
@@ -124,10 +132,17 @@ pub struct EngineCheckpoint {
     pub rng: [u64; 4],
     /// Mutator RNG stream position.
     pub mutator_rng: [u64; 4],
-    /// Retained seeds, oldest first (re-adding in order reproduces corpus
-    /// pick behavior exactly — only relative order matters to picks).
+    /// Retained seeds, oldest first, as [`Corpus::into_seeds`] returns
+    /// them; [`Corpus::from_retained`] rebuilds the identical corpus.
     pub corpus: Vec<Seed>,
-    /// Seeds retained since the last synchronization drain.
+    /// Seeds accepted while the engine was paused (fleet rare-seed
+    /// sharing), oldest first, not yet offered to the corpus.
+    /// [`FuzzEngine::restore`] adds them through [`Corpus::add`] after the
+    /// retained seeds, so duplicates are dropped and capacity is enforced
+    /// there.
+    pub pending: Vec<Seed>,
+    /// Seeds retained since the last synchronization drain (at most
+    /// [`SEED_OUTBOX_CAP`]).
     pub outbox: Vec<Seed>,
     /// Deduplicated faults, in discovery order.
     pub faults: FaultLog,
@@ -203,8 +218,9 @@ pub struct FuzzEngine<T: Target> {
     session_plans: Vec<Vec<ModelId>>,
     next_plan: usize,
     stats: EngineStats,
-    /// Seeds retained since the last [`FuzzEngine::export_new_seeds`]
-    /// drain, for cross-instance synchronization.
+    /// The first [`SEED_OUTBOX_CAP`] seeds retained since the last
+    /// [`FuzzEngine::export_new_seeds`] drain, for cross-instance
+    /// synchronization.
     outbox: Vec<Seed>,
     /// Metric handles mirrored into on every iteration; detached (and
     /// never read) unless [`FuzzEngine::attach_telemetry`] was called.
@@ -331,8 +347,9 @@ impl<T: Target> FuzzEngine<T> {
         self.models.get(name)
     }
 
-    /// Drains the seeds retained since the last call, for synchronization
-    /// with sibling instances.
+    /// Drains the first [`SEED_OUTBOX_CAP`] seeds retained since the last
+    /// call, for synchronization with sibling instances. Seeds retained
+    /// beyond the cap stay in the corpus but are never exported.
     pub fn export_new_seeds(&mut self) -> Vec<Seed> {
         std::mem::take(&mut self.outbox)
     }
@@ -380,17 +397,20 @@ impl<T: Target> FuzzEngine<T> {
     /// in a freshly built twin (same target kind, Pit, config and session
     /// plans).
     ///
-    /// Takes `&mut self` because [`Target::export_state`] may be
-    /// destructive (e.g. draining in-flight transport queues); treat the
-    /// engine as consumed once checkpointed.
+    /// Consumes the engine's state: the retained seeds, the outbox and the
+    /// fault log are moved into the checkpoint rather than cloned, and
+    /// [`Target::export_state`] may be destructive (e.g. draining
+    /// in-flight transport queues). Treat the engine as consumed once
+    /// checkpointed.
     pub fn checkpoint(&mut self) -> EngineCheckpoint {
         EngineCheckpoint {
             accumulated: self.accumulated.clone(),
             rng: self.rng.state(),
             mutator_rng: self.mutator.rng_state(),
-            corpus: self.corpus.iter().cloned().collect(),
-            outbox: self.outbox.clone(),
-            faults: self.faults.clone(),
+            corpus: std::mem::take(&mut self.corpus).into_seeds(),
+            pending: Vec::new(),
+            outbox: std::mem::take(&mut self.outbox),
+            faults: std::mem::take(&mut self.faults),
             iterations: self.iterations,
             stats: self.stats,
             next_plan: self.next_plan,
@@ -401,7 +421,10 @@ impl<T: Target> FuzzEngine<T> {
     /// Resumes a checkpointed instance into this freshly built engine:
     /// restores the coverage map and accumulated set, boots the target
     /// under `config`, imports the target's cross-session state, rebuilds
-    /// the corpus in retention order and rewinds both RNG streams.
+    /// the corpus from the retained seeds in one pass
+    /// ([`Corpus::from_retained`]), offers the pending seeds to it in
+    /// order, and rewinds both RNG streams. The checkpoint's seeds move
+    /// into the engine.
     ///
     /// The engine must have been built with the same target kind, Pit,
     /// [`EngineConfig`] and session plans as the checkpointed one; the
@@ -419,23 +442,22 @@ impl<T: Target> FuzzEngine<T> {
     pub fn restore(
         &mut self,
         config: &ResolvedConfig,
-        checkpoint: &EngineCheckpoint,
+        checkpoint: EngineCheckpoint,
     ) -> Result<(), StartError> {
         self.map.restore_from(&checkpoint.accumulated);
-        self.accumulated = checkpoint.accumulated.clone();
+        self.accumulated = checkpoint.accumulated;
         self.start(config)?;
         self.target.import_state(&checkpoint.target_state);
-        // Re-adding the survivors in retention order reproduces pick
-        // behavior exactly: live seeds are pairwise non-duplicate and
-        // within capacity, so no add below dedups or evicts, and the
-        // weighted-pick tables rebuild from the same (rarity, order)
-        // sequence the checkpointed corpus held.
-        self.corpus = Corpus::with_config(self.config.corpus_capacity, self.config.corpus);
-        for seed in &checkpoint.corpus {
-            self.corpus.add(seed.clone());
+        self.corpus = Corpus::from_retained(
+            self.config.corpus_capacity,
+            self.config.corpus,
+            checkpoint.corpus,
+        );
+        for seed in checkpoint.pending {
+            self.corpus.add(seed);
         }
-        self.outbox = checkpoint.outbox.clone();
-        self.faults = checkpoint.faults.clone();
+        self.outbox = checkpoint.outbox;
+        self.faults = checkpoint.faults;
         self.rng = StdRng::from_state(checkpoint.rng);
         self.mutator.restore_rng(checkpoint.mutator_rng);
         self.iterations = checkpoint.iterations;
@@ -523,9 +545,10 @@ impl<T: Target> FuzzEngine<T> {
                         model_id,
                         rarity,
                     );
-                    let added = self.corpus.add(seed.clone());
+                    let shared = (self.outbox.len() < SEED_OUTBOX_CAP).then(|| seed.clone());
+                    let added = self.corpus.add(seed);
                     self.record_add(added);
-                    if added.retained() {
+                    if let Some(seed) = shared.filter(|_| added.retained()) {
                         self.outbox.push(seed);
                     }
                 }
@@ -1008,7 +1031,7 @@ mod tests {
         let cp = first.checkpoint();
         drop(first);
         let mut resumed = build();
-        resumed.restore(&config, &cp).unwrap();
+        resumed.restore(&config, cp).unwrap();
         assert_eq!(resumed.iterations(), 50);
         for _ in 0..70 {
             observed.push(resumed.run_batch(1));
@@ -1202,10 +1225,72 @@ mod tests {
         let cp = first.checkpoint();
         drop(first);
         let mut resumed = build();
-        resumed.restore(&config, &cp).unwrap();
+        resumed.restore(&config, cp).unwrap();
         resumed.run_batch(27);
         assert_eq!(resumed.fault_log().unique_count(), 1);
         assert_eq!(state_digest(&mut resumed), expected);
+    }
+
+    /// Covers one branch per distinct first input byte, so havoc keeps
+    /// finding new coverage and the engine keeps retaining seeds.
+    struct FirstByteTarget {
+        probe: Option<CoverageProbe>,
+    }
+
+    impl Target for FirstByteTarget {
+        fn name(&self) -> &str {
+            "first-byte"
+        }
+        fn branch_count(&self) -> usize {
+            256
+        }
+        fn config_space(&self) -> ConfigSpace {
+            ConfigSpace::default()
+        }
+        fn start(&mut self, _: &ResolvedConfig, probe: CoverageProbe) -> Result<(), StartError> {
+            self.probe = Some(probe);
+            Ok(())
+        }
+        fn begin_session(&mut self) {}
+        fn handle(&mut self, input: &[u8]) -> TargetResponse {
+            if let Some(&first) = input.first() {
+                self.probe
+                    .as_ref()
+                    .expect("started")
+                    .hit(BranchId::from_index(u32::from(first)));
+            }
+            TargetResponse::empty()
+        }
+    }
+
+    #[test]
+    fn outbox_keeps_only_the_seeds_a_sync_round_shares() {
+        let mut engine = FuzzEngine::new(
+            FirstByteTarget { probe: None },
+            toy_pit(),
+            EngineConfig {
+                seed: 5,
+                corpus_capacity: 0,
+                ..EngineConfig::default()
+            },
+        );
+        engine.start(&ResolvedConfig::new()).unwrap();
+        for _ in 0..100 {
+            engine.run_batch(100);
+            assert!(engine.outbox.len() <= SEED_OUTBOX_CAP);
+        }
+        assert_eq!(engine.iterations(), 10_000);
+        assert!(
+            engine.stats().seeds_retained > 4 * SEED_OUTBOX_CAP as u64,
+            "the engine retained far more seeds than the cap"
+        );
+        // An unbounded corpus evicts nothing, so the outbox holds exactly
+        // its oldest seeds.
+        let checkpoint = engine.checkpoint();
+        assert_eq!(
+            checkpoint.outbox,
+            checkpoint.corpus[..SEED_OUTBOX_CAP].to_vec()
+        );
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod target;
 
 pub use corpus::{AddOutcome, Corpus, CorpusConfig, Seed};
 pub use data_model::{DataModel, Endian, Field, FieldKind, FieldValue, Generator};
-pub use engine::{EngineCheckpoint, EngineConfig, FuzzEngine, IterationOutcome};
+pub use engine::{EngineCheckpoint, EngineConfig, FuzzEngine, IterationOutcome, SEED_OUTBOX_CAP};
 pub use fault::{Fault, FaultKind, FaultLog};
 pub use intern::{ModelId, ModelTable};
 pub use mutate::{MutationOp, Mutator};

@@ -4,7 +4,9 @@
 //! (`by_model`, the hash index, the LSH bands, the sequence numbering)
 //! consistent with the seed deque — under every combination of
 //! [`CorpusConfig`] flags — and a restored corpus picks identically to
-//! the original.
+//! the original. The one-pass rebuild an engine restore uses,
+//! [`Corpus::from_retained`], is checked against replaying the same
+//! seeds through [`Corpus::add`].
 
 use cmfuzz_fuzzer::state_codec::{StateReader, StateWriter};
 use cmfuzz_fuzzer::{Corpus, CorpusConfig, ModelId, Seed};
@@ -75,7 +77,7 @@ fn next_seed(lcg: &mut Lcg, history: &[Seed]) -> Seed {
 }
 
 /// Checkpoint the corpus through the state codec and replay it into a
-/// fresh corpus, exactly as an engine restore does.
+/// fresh corpus through `add`.
 fn checkpoint_restore(corpus: &Corpus) -> Corpus {
     let mut writer = StateWriter::new();
     writer.usize(corpus.len());
@@ -171,5 +173,65 @@ fn seed_codec_survives_interleaved_history() {
         assert_eq!(seed.content_hash(), back.content_hash());
         assert_eq!(seed.sketch().lanes(), back.sketch().lanes());
         history.push(seed);
+    }
+}
+
+#[test]
+fn from_retained_matches_replaying_every_add_under_every_config() {
+    for (case, config) in configs().into_iter().enumerate() {
+        for stream in 0..3u64 {
+            let mut lcg = Lcg(0xB01D ^ ((case as u64) << 8) ^ stream);
+            let mut corpus = Corpus::with_config(CAPACITY, config);
+            let mut history: Vec<Seed> = Vec::new();
+            for _ in 0..(40 + 150 * stream) {
+                let seed = next_seed(&mut lcg, &history);
+                history.push(seed.clone());
+                corpus.add(seed);
+            }
+            let seeds: Vec<Seed> = corpus.iter().cloned().collect();
+            let mut replayed = Corpus::with_config(CAPACITY, config);
+            for seed in &seeds {
+                assert!(replayed.add(seed.clone()).retained());
+            }
+            let mut bulk = Corpus::from_retained(CAPACITY, config, seeds);
+            replayed.assert_consistent();
+            bulk.assert_consistent();
+            assert_eq!(
+                format!("{bulk:?}"),
+                format!("{replayed:?}"),
+                "config {config:?} stream {stream}: identical indexes and pick tables"
+            );
+
+            let mut replayed_rng = StdRng::seed_from_u64(stream);
+            let mut bulk_rng = StdRng::seed_from_u64(stream);
+            for draw in 0..1_000u32 {
+                assert_eq!(
+                    bulk.pick(&mut bulk_rng).map(Seed::content_hash),
+                    replayed.pick(&mut replayed_rng).map(Seed::content_hash),
+                );
+                let id = ModelId::from_raw(draw % 4);
+                assert_eq!(
+                    bulk.pick_for_model(&mut bulk_rng, id)
+                        .map(Seed::content_hash),
+                    replayed
+                        .pick_for_model(&mut replayed_rng, id)
+                        .map(Seed::content_hash),
+                );
+            }
+
+            // Further adds (fresh seeds, duplicates, near duplicates, and
+            // the evictions they force) land identically in both.
+            for _ in 0..200 {
+                let seed = next_seed(&mut lcg, &history);
+                history.push(seed.clone());
+                assert_eq!(bulk.add(seed.clone()), replayed.add(seed));
+                bulk.assert_consistent();
+                assert_eq!(
+                    bulk.pick(&mut bulk_rng).map(Seed::content_hash),
+                    replayed.pick(&mut replayed_rng).map(Seed::content_hash),
+                );
+            }
+            assert_eq!(format!("{bulk:?}"), format!("{replayed:?}"));
+        }
     }
 }

@@ -8,12 +8,16 @@
 //! the checkpoint too). The slicings here are drawn from a seeded LCG so
 //! the test is deterministic without touching wall-clock or OS entropy.
 
+use cmfuzz::baseline::cmfuzz_setups;
 use cmfuzz::campaign::{run_campaign_slice, try_run_campaign, CampaignOptions, InstanceSetup};
 use cmfuzz::metrics::CampaignResult;
+use cmfuzz::schedule::{build_schedule, ScheduleOptions};
 use cmfuzz_coverage::Ticks;
-use cmfuzz_fleet::{run_fleet, CoverageGradient, FleetCampaign, FleetOptions};
+use cmfuzz_fleet::{run_fleet, CoverageGradient, FleetCampaign, FleetOptions, FleetResult};
+use cmfuzz_fuzzer::{CorpusConfig, EngineConfig};
 use cmfuzz_netsim::LinkConditions;
 use cmfuzz_protocols::{spec_by_name, ProtocolSpec};
+use cmfuzz_server::{fnv1a_hex, result_digest};
 
 /// Deterministic pseudo-random stream (Knuth LCG, high bits).
 fn lcg(state: &mut u64) -> u64 {
@@ -171,4 +175,81 @@ fn same_seed_fleet_runs_are_bit_identical() {
         !first.all_complete(),
         "1800 ticks of work under a 1200 allowance"
     );
+}
+
+/// Scheduling totals plus every campaign's full result digest.
+fn fleet_digest(result: &FleetResult) -> String {
+    let mut text = format!(
+        "{}|{}|{}|{}|{}|{}",
+        result.policy,
+        result.waves,
+        result.leases,
+        result.spent.get(),
+        result.seeds_shared,
+        result.seeds_share_rejected
+    );
+    for outcome in &result.campaigns {
+        text.push_str(&format!(
+            "|{}:{}:{}:{}:{}",
+            outcome.id,
+            outcome.leases,
+            outcome.consumed.get(),
+            outcome.completed,
+            result_digest(&outcome.result())
+        ));
+    }
+    fnv1a_hex(&text)
+}
+
+/// A small relation-aware sharing fleet: three subjects, three
+/// configuration partitions each, one single-instance campaign per
+/// partition with the intelligent corpus, every subject its own sharing
+/// group. One slot and an allowance below the 9 × 1,000 ticks the
+/// campaigns ask for, so most recipients sit out most waves while holding
+/// seeds imported at earlier boundaries.
+#[test]
+fn sharing_fleet_matches_its_golden_digest() {
+    let mut fleet = Vec::new();
+    for name in ["mosquitto", "dnsmasq", "libcoap"] {
+        let spec = spec_by_name(name).expect("subject exists");
+        let schedule = build_schedule(&mut (spec.build)(), 3, &ScheduleOptions::default());
+        for (part, setup) in cmfuzz_setups(&schedule, 3).into_iter().enumerate() {
+            fleet.push(FleetCampaign {
+                id: format!("{name}/part-{part}"),
+                spec,
+                fuzzer: "cmfuzz".into(),
+                setups: vec![setup],
+                options: CampaignOptions {
+                    instances: 1,
+                    budget: Ticks::new(1_000),
+                    sample_interval: Ticks::new(100),
+                    saturation_window: Ticks::new(200),
+                    seed: 0x5EED_0100 + fleet.len() as u64,
+                    worker_pool: false,
+                    engine: EngineConfig {
+                        corpus: CorpusConfig::intelligent(),
+                        ..EngineConfig::default()
+                    },
+                    ..CampaignOptions::default()
+                },
+                share_group: Some(name.to_owned()),
+            });
+        }
+    }
+    let result = run_fleet(
+        &fleet,
+        &mut CoverageGradient::new(),
+        &FleetOptions {
+            slots: 1,
+            slice: Ticks::new(200),
+            total_budget: Some(Ticks::new(6_000)),
+            skip_preflight: false,
+            share_rare_seeds: 4,
+        },
+    )
+    .expect("fleet runs");
+    assert_eq!(result.spent, Ticks::new(6_000));
+    assert!(!result.all_complete(), "9,000 ticks of work under 6,000");
+    assert!(result.seeds_shared > 0, "partitions exchange seeds");
+    assert_eq!(fleet_digest(&result), "7120fc3cc6759dff");
 }

@@ -8,12 +8,7 @@
 //! decisions matter. Every policy runs the same fleet under the same
 //! seeds; the coverage-gradient policy must match or beat round-robin's
 //! total coverage at equal budget, and a same-seed repeat must reproduce
-//! the run exactly. With `--shard N` the four policy runs (the three
-//! policies plus the determinism repeat) are distributed over `N` worker
-//! *processes* — the same binary re-invoked with a hidden
-//! `--shard-worker i/N` flag — and the gates compare digests that crossed
-//! a process boundary, which is a strictly stronger reproducibility claim
-//! than an in-process repeat.
+//! the run exactly.
 //!
 //! Every policy run is additionally audited against the configuration-
 //! space reachability analyzer: each campaign's JSON row reports the
@@ -33,7 +28,7 @@ use cmfuzz::baseline::cmfuzz_setups;
 use cmfuzz::campaign::CampaignOptions;
 use cmfuzz::preflight::analyze_reachability_for;
 use cmfuzz::schedule::{build_schedule, ScheduleOptions};
-use cmfuzz_bench::{report, shard};
+use cmfuzz_bench::report;
 use cmfuzz_coverage::Ticks;
 use cmfuzz_fleet::{
     run_fleet, CoverageGradient, FleetCampaign, FleetOptions, FleetResult, RoundRobin,
@@ -86,8 +81,6 @@ fn main() {
     let mut scale = BenchScale::default();
     let mut out = PathBuf::from("BENCH_fleet.json");
     let mut seed: u64 = 0xF1EE7;
-    let mut shards: Option<usize> = None;
-    let mut worker: Option<(usize, usize)> = None;
 
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -96,30 +89,6 @@ fn main() {
             "--seed" => match iter.next().and_then(|s| s.parse::<u64>().ok()) {
                 Some(n) => seed = n,
                 None => usage_error("--seed expects an unsigned integer"),
-            },
-            "--campaign-budget" => match iter.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n > 0 => scale.campaign_budget = n,
-                _ => usage_error("--campaign-budget expects a positive tick count"),
-            },
-            "--total-budget" => match iter.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n > 0 => scale.total_budget = n,
-                _ => usage_error("--total-budget expects a positive tick count"),
-            },
-            "--slice" => match iter.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n > 0 => scale.slice = n,
-                _ => usage_error("--slice expects a positive tick count"),
-            },
-            "--slots" => match iter.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n > 0 => scale.slots = n,
-                _ => usage_error("--slots expects a positive worker count"),
-            },
-            "--shard" => match iter.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n > 0 => shards = Some(n),
-                _ => usage_error("--shard expects a positive worker-process count"),
-            },
-            "--shard-worker" => match iter.next().and_then(|s| shard::parse_worker_spec(s)) {
-                Some(spec) => worker = Some(spec),
-                None => usage_error("--shard-worker expects i/N with i < N"),
             },
             "--out" => match iter.next() {
                 Some(path) => out = PathBuf::from(path),
@@ -142,10 +111,6 @@ fn main() {
         share_rare_seeds: 0,
     };
 
-    if let Some((index, of)) = worker {
-        run_shard_worker(&fleet, &fleet_options, index, of);
-    }
-
     eprintln!(
         "[bench_fleet] {} campaigns, {} ticks each, {} total ({} scale)",
         fleet.len(),
@@ -154,11 +119,8 @@ fn main() {
         scale.label,
     );
 
-    let (deterministic, round_robin, gradient, dead_covered_total, policy_blocks, shard_json) =
-        match shards {
-            Some(n) => run_sharded(&scale, seed, n),
-            None => run_in_process(&fleet, &fleet_options),
-        };
+    let (deterministic, round_robin, gradient, dead_covered_total, policy_blocks) =
+        run_in_process(&fleet, &fleet_options);
 
     #[allow(clippy::cast_precision_loss)]
     let improvement_pct = if round_robin == 0 {
@@ -168,7 +130,7 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"experiment\": \"fleet\",\n  \"scale\": \"{}\",\n  \"machine\": {},\n  \"campaigns\": {},\n  \"seed\": {seed},\n  \"slots\": {},\n  \"slice_ticks\": {},\n  \"campaign_budget_ticks\": {},\n  \"total_budget_ticks\": {},\n  \"deterministic\": {deterministic},\n  \"gradient_vs_round_robin_pct\": {improvement_pct:.2},\n  \"dead_covered_total\": {dead_covered_total},\n  \"policies\": [\n{policy_blocks}\n  ]{shard_json}\n}}\n",
+        "{{\n  \"experiment\": \"fleet\",\n  \"scale\": \"{}\",\n  \"machine\": {},\n  \"campaigns\": {},\n  \"seed\": {seed},\n  \"slots\": {},\n  \"slice_ticks\": {},\n  \"campaign_budget_ticks\": {},\n  \"total_budget_ticks\": {},\n  \"deterministic\": {deterministic},\n  \"gradient_vs_round_robin_pct\": {improvement_pct:.2},\n  \"dead_covered_total\": {dead_covered_total},\n  \"policies\": [\n{policy_blocks}\n  ]\n}}\n",
         scale.label,
         report::machine_info_json(),
         fleet.len(),
@@ -217,12 +179,12 @@ fn cell_policy(cell: usize) -> Box<dyn SchedulingPolicy> {
     }
 }
 
-/// Runs all four policy cells in this process and returns the gate
-/// inputs plus the rendered policy JSON blocks.
+/// Runs all four policy cells and returns the gate inputs plus the
+/// rendered policy JSON blocks.
 fn run_in_process(
     fleet: &[FleetCampaign],
     options: &FleetOptions,
-) -> (bool, usize, usize, usize, String, String) {
+) -> (bool, usize, usize, usize, String) {
     let mut runs = Vec::new();
     for cell in 0..CELLS {
         let mut policy = cell_policy(cell);
@@ -275,147 +237,6 @@ fn run_in_process(
         gradient,
         dead_covered_total,
         policy_blocks,
-        String::new(),
-    )
-}
-
-/// Runs the cells this worker owns and prints their reports to stdout.
-fn run_shard_worker(fleet: &[FleetCampaign], options: &FleetOptions, index: usize, of: usize) -> ! {
-    let indices = shard::owned_indices(index, of, CELLS);
-    eprintln!(
-        "[bench_fleet] shard worker {index}/{of}: {} cells",
-        indices.len()
-    );
-    let mut wire = String::new();
-    for cell in indices {
-        let mut policy = cell_policy(cell);
-        let started = Instant::now();
-        let result = match run_fleet(fleet, policy.as_mut(), options) {
-            Ok(result) => result,
-            Err(error) => {
-                eprintln!(
-                    "[bench_fleet] shard worker {index}/{of} failed under {}: {error}",
-                    policy.name()
-                );
-                exit(error.exit_code());
-            }
-        };
-        let wall = started.elapsed().as_secs_f64();
-        let (block, dead_covered) = policy_json(fleet, &result, wall);
-        shard::write_fleet_cell(
-            &mut wire,
-            &shard::FleetCellReport {
-                index: cell,
-                seconds: wall,
-                digest: fleet_digest(&result),
-                total_branches: result.total_branches(),
-                completed: result.completed_count(),
-                dead_covered,
-                policy_json: block,
-            },
-        );
-    }
-    print!("{wire}");
-    exit(0);
-}
-
-/// Forks `shards` worker processes over the four policy cells and
-/// reassembles the gate inputs from their reports. The scale is forwarded
-/// to every worker as explicit flag values so each rebuilds the exact
-/// same fleet.
-fn run_sharded(
-    scale: &BenchScale,
-    seed: u64,
-    shards: usize,
-) -> (bool, usize, usize, usize, String, String) {
-    eprintln!("[bench_fleet] sharded run ({shards} worker processes)...");
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(err) => {
-            eprintln!("[bench_fleet] cannot locate own executable: {err}");
-            exit(2);
-        }
-    };
-    let started = Instant::now();
-    let children: Vec<_> = (0..shards.min(CELLS))
-        .map(|i| {
-            std::process::Command::new(&exe)
-                .arg("--seed")
-                .arg(seed.to_string())
-                .arg("--campaign-budget")
-                .arg(scale.campaign_budget.to_string())
-                .arg("--total-budget")
-                .arg(scale.total_budget.to_string())
-                .arg("--slice")
-                .arg(scale.slice.to_string())
-                .arg("--slots")
-                .arg(scale.slots.to_string())
-                .arg("--shard-worker")
-                .arg(format!("{i}/{}", shards.min(CELLS)))
-                .stdout(std::process::Stdio::piped())
-                .spawn()
-                .unwrap_or_else(|err| {
-                    eprintln!("[bench_fleet] cannot spawn shard worker {i}: {err}");
-                    exit(2);
-                })
-        })
-        .collect();
-    let mut cells: Vec<shard::FleetCellReport> = Vec::new();
-    for (i, child) in children.into_iter().enumerate() {
-        let output = child.wait_with_output().unwrap_or_else(|err| {
-            eprintln!("[bench_fleet] shard worker {i} vanished: {err}");
-            exit(2);
-        });
-        if !output.status.success() {
-            eprintln!(
-                "[bench_fleet] shard worker {i} exited with {}",
-                output.status
-            );
-            exit(2);
-        }
-        let text = String::from_utf8_lossy(&output.stdout);
-        match shard::parse_fleet_cells(&text) {
-            Ok(reports) => cells.extend(reports),
-            Err(err) => {
-                eprintln!("[bench_fleet] shard worker {i} protocol error: {err}");
-                exit(2);
-            }
-        }
-    }
-    let wall_seconds = started.elapsed().as_secs_f64();
-
-    cells.sort_by_key(|c| c.index);
-    if cells.len() != CELLS || cells.iter().enumerate().any(|(i, c)| c.index != i) {
-        eprintln!(
-            "[bench_fleet] shard reports do not tile the policy cells: got {} of {CELLS}",
-            cells.len()
-        );
-        exit(2);
-    }
-
-    let deterministic = cells[3].digest == cells[1].digest;
-    let round_robin = cells[0].total_branches;
-    let gradient = cells[1].total_branches;
-    let dead_covered_total = cells[..3].iter().map(|c| c.dead_covered).sum();
-    let policy_blocks = cells[..3]
-        .iter()
-        .map(|c| c.policy_json.clone())
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let shard_json = format!(
-        ",\n  \"shard\": {{\"shards\": {}, \"wall_seconds\": {wall_seconds:.3}, \"cross_process_deterministic\": {deterministic}}}",
-        shards.min(CELLS),
-    );
-    eprintln!(
-        "[bench_fleet] sharded {wall_seconds:.3}s, cross-process deterministic: {deterministic}"
-    );
-    (
-        deterministic,
-        round_robin,
-        gradient,
-        dead_covered_total,
-        policy_blocks,
-        shard_json,
     )
 }
 
@@ -535,17 +356,11 @@ fn policy_json(
     (block, dead_covered_total)
 }
 
-const USAGE: &str = "usage: bench_fleet [--smoke] [--seed <n>] [--shard <n>] [--out <path>]\n\
+const USAGE: &str = "usage: bench_fleet [--smoke] [--seed <n>] [--out <path>]\n\
     \n\
-    --smoke            small budgets for CI smoke runs (default: the full bench scale)\n\
-    --seed             base campaign seed (default: 0xF1EE7)\n\
-    --shard            distribute the policy runs over <n> worker processes and gate\n\
-                       determinism across the process boundary\n\
-    --out              where to write the JSON record (default: BENCH_fleet.json)\n\
-    --campaign-budget  per-campaign budget in ticks (overrides the scale)\n\
-    --total-budget     fleet-wide allowance in ticks (overrides the scale)\n\
-    --slice            per-lease slice budget in ticks (overrides the scale)\n\
-    --slots            worker slots per wave (overrides the scale)";
+    --smoke  small budgets for CI smoke runs (default: the full bench scale)\n\
+    --seed   base campaign seed (default: 0xF1EE7)\n\
+    --out    where to write the JSON record (default: BENCH_fleet.json)";
 
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}\n{USAGE}");

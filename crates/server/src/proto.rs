@@ -149,6 +149,10 @@ impl CampaignSubmission {
     pub const DEFAULT_SAMPLE_INTERVAL: u64 = 100;
     /// See [`CampaignSubmission::DEFAULT_SAMPLE_INTERVAL`].
     pub const DEFAULT_SATURATION_WINDOW: u64 = 200;
+    /// Largest accepted `instances`. Materializing a campaign allocates
+    /// one instance setup per instance, so an unbounded count lets a single
+    /// request exhaust memory; the paper runs 4.
+    pub const MAX_INSTANCES: u64 = 64;
 
     fn from_json(value: &JsonValue) -> Result<Self, String> {
         let id = value
@@ -168,8 +172,13 @@ impl CampaignSubmission {
             .get("instances")
             .map(|v| {
                 v.as_u64()
-                    .filter(|&n| n > 0)
-                    .ok_or("\"instances\" must be a positive integer")
+                    .filter(|&n| (1..=CampaignSubmission::MAX_INSTANCES).contains(&n))
+                    .ok_or_else(|| {
+                        format!(
+                            "\"instances\" must be an integer in 1..={}",
+                            CampaignSubmission::MAX_INSTANCES
+                        )
+                    })
             })
             .transpose()?
             .unwrap_or(1);
@@ -460,6 +469,24 @@ mod tests {
             r#"{"campaigns":[{"id":"x","subject":"dnsmasq","budget":200,"instances":0}]}"#,
         ] {
             assert!(Submission::from_json_text(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn instances_are_bounded() {
+        let with_instances = |n: u64| {
+            format!(
+                r#"{{"campaigns":[{{"id":"x","subject":"dnsmasq","budget":200,"instances":{n}}}]}}"#
+            )
+        };
+        let cap = CampaignSubmission::MAX_INSTANCES;
+        let parsed = Submission::from_json_text(&with_instances(cap)).expect("the cap parses");
+        assert_eq!(parsed.campaigns[0].instances as u64, cap);
+        for n in [cap + 1, 1_000_000_000_000, u64::MAX] {
+            let error = Submission::from_json_text(&with_instances(n)).expect_err("over the cap");
+            assert!(error.contains("instances"), "{error}");
+            let line = format!(r#"{{"cmd":"submit","fleet":{}}}"#, with_instances(n));
+            assert!(Request::parse_line(&line).is_err(), "{line}");
         }
     }
 

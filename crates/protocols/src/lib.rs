@@ -42,7 +42,6 @@ mod amqp;
 mod coap;
 mod common;
 mod dds;
-mod dispatch;
 mod dns;
 mod dtls;
 mod mqtt;
@@ -53,10 +52,9 @@ mod transport;
 pub use amqp::Amqp;
 pub use coap::Coap;
 pub use dds::Dds;
-pub use dispatch::ProtocolTarget;
 pub use dns::Dns;
 pub use dtls::Dtls;
 pub use mqtt::Mqtt;
 pub use net::NetworkedTarget;
-pub use spec::{all_specs, spec_by_name, ProtocolSpec};
-pub use transport::{DatagramLink, DirectLink, Transport};
+pub use spec::{all_specs, spec_by_name, ProtocolSpec, ProtocolTarget};
+pub use transport::DatagramLink;

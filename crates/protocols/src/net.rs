@@ -5,20 +5,18 @@ use cmfuzz_coverage::CoverageProbe;
 use cmfuzz_fuzzer::{Fault, StartError, Target, TargetResponse};
 use cmfuzz_netsim::{LinkConditions, Network};
 
-use crate::transport::{DatagramLink, Transport};
+use crate::transport::DatagramLink;
 
-/// Runs a protocol target behind a [`Transport`], by default its own
-/// isolated [`Network`] — the reproduction of the paper's per-instance
-/// Linux network namespace.
+/// Runs a protocol target behind a [`DatagramLink`] in its own isolated
+/// [`Network`] — the reproduction of the paper's per-instance Linux
+/// network namespace.
 ///
-/// The transport binds the server at a well-known address inside the
+/// The link binds the server at a well-known address inside the
 /// namespace and a fuzzing client next to it; [`Target::handle`] routes the
 /// input through the simulated network in both directions, so every fuzzed
 /// message actually crosses the (namespaced, possibly impaired) wire. Two
 /// instances wrapping the same protocol can never observe each other's
-/// traffic because their `Network`s are disjoint. Benchmarks that want to
-/// measure the engine rather than the wire swap in a
-/// [`DirectLink`](crate::DirectLink) via [`NetworkedTarget::with_transport`].
+/// traffic because their `Network`s are disjoint.
 ///
 /// # Examples
 ///
@@ -36,12 +34,12 @@ use crate::transport::{DatagramLink, Transport};
 /// # Ok::<(), cmfuzz_fuzzer::StartError>(())
 /// ```
 #[derive(Debug)]
-pub struct NetworkedTarget<T: Target, L: Transport = DatagramLink> {
+pub struct NetworkedTarget<T: Target> {
     inner: T,
-    link: L,
+    link: DatagramLink,
 }
 
-impl<T: Target> NetworkedTarget<T, DatagramLink> {
+impl<T: Target> NetworkedTarget<T> {
     /// Wraps `inner` in a fresh perfect-link namespace named after the
     /// instance.
     #[must_use]
@@ -72,30 +70,15 @@ impl<T: Target> NetworkedTarget<T, DatagramLink> {
     pub fn network(&self) -> &Network {
         self.link.network()
     }
-}
-
-impl<T: Target, L: Transport> NetworkedTarget<T, L> {
-    /// Wraps `inner` behind an arbitrary transport (e.g. a
-    /// [`DirectLink`](crate::DirectLink) for in-process benchmarking).
-    #[must_use]
-    pub fn with_transport(inner: T, link: L) -> Self {
-        NetworkedTarget { inner, link }
-    }
 
     /// The wrapped target.
     #[must_use]
     pub fn inner(&self) -> &T {
         &self.inner
     }
-
-    /// The transport the fuzzed traffic crosses.
-    #[must_use]
-    pub fn transport(&self) -> &L {
-        &self.link
-    }
 }
 
-impl<T: Target, L: Transport> Target for NetworkedTarget<T, L> {
+impl<T: Target> Target for NetworkedTarget<T> {
     fn name(&self) -> &str {
         self.inner.name()
     }
@@ -182,7 +165,7 @@ impl<T: Target, L: Transport> Target for NetworkedTarget<T, L> {
         }
         let NetworkedTarget { inner, link } = self;
         let mut index = 0;
-        link.server_recv_many(ranges.len(), &mut |payload| {
+        link.server_recv_many(ranges.len(), |payload| {
             if let Some(fault) = inner.handle(payload).fault {
                 faults.push((index, fault));
             }
@@ -214,7 +197,7 @@ impl<T: Target, L: Transport> Target for NetworkedTarget<T, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{DirectLink, SERVER_ADDR};
+    use crate::transport::SERVER_ADDR;
     use cmfuzz_coverage::CoverageMap;
     use cmfuzz_fuzzer::{Fault, FaultKind};
     use cmfuzz_netsim::Addr;
@@ -275,15 +258,6 @@ mod tests {
         let response = t.handle(b"ping");
         assert_eq!(response.bytes, b"ping");
         assert!(!response.is_crash());
-    }
-
-    #[test]
-    fn round_trips_through_a_direct_link() {
-        let mut t = NetworkedTarget::with_transport(Echo::new(None), DirectLink::new());
-        let map = CoverageMap::new(1);
-        t.start(&ResolvedConfig::new(), map.probe())
-            .expect("starts");
-        assert_eq!(t.handle(b"ping").bytes, b"ping");
     }
 
     #[test]

@@ -1,6 +1,101 @@
 //! Protocol registry: targets plus their shared Pit documents.
 
-use crate::{Amqp, Coap, Dds, Dns, Dtls, Mqtt, ProtocolTarget};
+use std::fmt;
+
+use cmfuzz_config_model::{ConfigSpace, ConstraintSet, GuardTable, ResolvedConfig};
+use cmfuzz_coverage::CoverageProbe;
+use cmfuzz_fuzzer::{Fault, StartError, Target, TargetResponse};
+
+use crate::{Amqp, Coap, Dds, Dns, Dtls, Mqtt};
+
+/// A protocol server behind one virtual call: what a [`ProtocolSpec`]
+/// builds.
+///
+/// The six evaluation subjects and any downstream target take the same
+/// path, so a custom protocol rides the whole `ProtocolSpec`-based
+/// campaign API. End to end, boxed dispatch runs as fast as a `match`
+/// over the six servers did (DESIGN.md §9.1).
+///
+/// # Examples
+///
+/// ```
+/// use cmfuzz_fuzzer::Target;
+/// use cmfuzz_protocols::{Mqtt, ProtocolTarget};
+///
+/// let target = ProtocolTarget::custom(Mqtt::new());
+/// assert_eq!(target.name(), "mosquitto");
+/// assert_eq!(format!("{target:?}"), "ProtocolTarget(\"mosquitto\")");
+/// ```
+pub struct ProtocolTarget(Box<dyn Target + Send>);
+
+impl ProtocolTarget {
+    /// Boxes `target` for use in a [`ProtocolSpec`] builder.
+    #[must_use]
+    pub fn custom<T: Target + Send + 'static>(target: T) -> Self {
+        ProtocolTarget(Box::new(target))
+    }
+}
+
+impl fmt::Debug for ProtocolTarget {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // A trait object carries no `Debug` bound; its name is the most
+        // useful stable identifier.
+        f.debug_tuple("ProtocolTarget")
+            .field(&self.0.name())
+            .finish()
+    }
+}
+
+impl Target for ProtocolTarget {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn branch_count(&self) -> usize {
+        self.0.branch_count()
+    }
+
+    fn config_space(&self) -> ConfigSpace {
+        self.0.config_space()
+    }
+
+    fn config_constraints(&self) -> ConstraintSet {
+        self.0.config_constraints()
+    }
+
+    fn branch_guards(&self) -> GuardTable {
+        self.0.branch_guards()
+    }
+
+    fn start(&mut self, config: &ResolvedConfig, probe: CoverageProbe) -> Result<(), StartError> {
+        self.0.start(config, probe)
+    }
+
+    fn begin_session(&mut self) {
+        self.0.begin_session();
+    }
+
+    fn handle(&mut self, input: &[u8]) -> TargetResponse {
+        self.0.handle(input)
+    }
+
+    fn handle_batch(
+        &mut self,
+        arena: &[u8],
+        ranges: &[(u32, u32)],
+        faults: &mut Vec<(usize, Fault)>,
+    ) {
+        self.0.handle_batch(arena, ranges, faults);
+    }
+
+    fn export_state(&mut self) -> Vec<u8> {
+        self.0.export_state()
+    }
+
+    fn import_state(&mut self, state: &[u8]) {
+        self.0.import_state(state);
+    }
+}
 
 /// One evaluation subject: how to build the target and the Pit document
 /// (data + state models) every fuzzer uses against it — "for fairness, we
@@ -15,15 +110,14 @@ pub struct ProtocolSpec {
     pub name: &'static str,
     /// The protocol the implementation speaks (e.g. `"MQTT"`).
     pub protocol: &'static str,
-    /// Builds a fresh stopped target instance, statically dispatched —
-    /// no heap allocation, no vtable between the engine and the server.
+    /// Builds a fresh stopped target instance.
     pub build: fn() -> ProtocolTarget,
     /// The shared Pit document.
     pub pit_document: &'static str,
 }
 
-impl std::fmt::Debug for ProtocolSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for ProtocolSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ProtocolSpec")
             .field("name", &self.name)
             .field("protocol", &self.protocol)
@@ -38,37 +132,37 @@ pub fn all_specs() -> Vec<ProtocolSpec> {
         ProtocolSpec {
             name: "mosquitto",
             protocol: "MQTT",
-            build: || ProtocolTarget::Mqtt(Mqtt::new()),
+            build: || ProtocolTarget::custom(Mqtt::new()),
             pit_document: MQTT_PIT,
         },
         ProtocolSpec {
             name: "libcoap",
             protocol: "CoAP",
-            build: || ProtocolTarget::Coap(Coap::new()),
+            build: || ProtocolTarget::custom(Coap::new()),
             pit_document: COAP_PIT,
         },
         ProtocolSpec {
             name: "cyclonedds",
             protocol: "DDS",
-            build: || ProtocolTarget::Dds(Dds::new()),
+            build: || ProtocolTarget::custom(Dds::new()),
             pit_document: DDS_PIT,
         },
         ProtocolSpec {
             name: "openssl",
             protocol: "DTLS",
-            build: || ProtocolTarget::Dtls(Dtls::new()),
+            build: || ProtocolTarget::custom(Dtls::new()),
             pit_document: DTLS_PIT,
         },
         ProtocolSpec {
             name: "qpid",
             protocol: "AMQP",
-            build: || ProtocolTarget::Amqp(Amqp::new()),
+            build: || ProtocolTarget::custom(Amqp::new()),
             pit_document: AMQP_PIT,
         },
         ProtocolSpec {
             name: "dnsmasq",
             protocol: "DNS",
-            build: || ProtocolTarget::Dns(Dns::new()),
+            build: || ProtocolTarget::custom(Dns::new()),
             pit_document: DNS_PIT,
         },
     ]
@@ -488,9 +582,109 @@ const DDS_PIT: &str = r#"<Peach>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmfuzz_config_model::{extract_model, ResolvedConfig};
+    use cmfuzz_config_model::extract_model;
     use cmfuzz_coverage::CoverageMap;
-    use cmfuzz_fuzzer::{pit, Target};
+    use cmfuzz_fuzzer::{pit, FaultKind};
+    use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn every_variant_is_constructible_and_named() {
+        let targets: Vec<ProtocolTarget> = all_specs().iter().map(|spec| (spec.build)()).collect();
+        let names: Vec<&str> = targets.iter().map(Target::name).collect();
+        assert_eq!(
+            names,
+            vec![
+                "mosquitto",
+                "libcoap",
+                "cyclonedds",
+                "openssl",
+                "qpid",
+                "dnsmasq"
+            ]
+        );
+        assert_eq!(format!("{:?}", targets[0]), "ProtocolTarget(\"mosquitto\")");
+    }
+
+    /// A target whose every optional `Target` method is overridden and
+    /// logs its name, so the forwarding test can see which ones the
+    /// wrapper reached.
+    struct Recorder(Arc<Mutex<Vec<&'static str>>>);
+
+    impl Recorder {
+        fn log(&self, method: &'static str) {
+            self.0.lock().unwrap().push(method);
+        }
+    }
+
+    impl Target for Recorder {
+        fn name(&self) -> &str {
+            "recorder"
+        }
+        fn branch_count(&self) -> usize {
+            1
+        }
+        fn config_space(&self) -> ConfigSpace {
+            ConfigSpace::default()
+        }
+        fn config_constraints(&self) -> ConstraintSet {
+            self.log("config_constraints");
+            ConstraintSet::default()
+        }
+        fn branch_guards(&self) -> GuardTable {
+            self.log("branch_guards");
+            GuardTable::default()
+        }
+        fn start(&mut self, _: &ResolvedConfig, _: CoverageProbe) -> Result<(), StartError> {
+            Ok(())
+        }
+        fn begin_session(&mut self) {}
+        fn handle(&mut self, _: &[u8]) -> TargetResponse {
+            self.log("handle");
+            TargetResponse::empty()
+        }
+        fn handle_batch(
+            &mut self,
+            _: &[u8],
+            ranges: &[(u32, u32)],
+            faults: &mut Vec<(usize, Fault)>,
+        ) {
+            self.log("handle_batch");
+            faults.push((ranges.len() - 1, Fault::new(FaultKind::Segv, "batch")));
+        }
+        fn export_state(&mut self) -> Vec<u8> {
+            self.log("export_state");
+            b"state".to_vec()
+        }
+        fn import_state(&mut self, state: &[u8]) {
+            assert_eq!(state, b"state");
+            self.log("import_state");
+        }
+    }
+
+    #[test]
+    fn protocol_target_forwards_every_target_method() {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let mut target = ProtocolTarget::custom(Recorder(Arc::clone(&calls)));
+        let _ = target.config_constraints();
+        let _ = target.branch_guards();
+        let mut faults = Vec::new();
+        target.handle_batch(b"abcd", &[(0, 2), (2, 2)], &mut faults);
+        assert_eq!(faults.len(), 1);
+        assert_eq!(faults[0].0, 1);
+        let state = target.export_state();
+        target.import_state(&state);
+        assert_eq!(
+            *calls.lock().unwrap(),
+            [
+                "config_constraints",
+                "branch_guards",
+                "handle_batch",
+                "export_state",
+                "import_state"
+            ],
+            "an override was skipped for the trait default"
+        );
+    }
 
     #[test]
     fn all_six_subjects_present() {
@@ -618,6 +812,196 @@ mod tests {
             if spec.name != "cyclonedds" {
                 assert!(replied, "{}: no model elicited a reply", spec.name);
             }
+        }
+    }
+
+    /// Lockstep gate between the declarative constraints and the
+    /// imperative `start` checks: every declared conflict must actually
+    /// refuse to boot, and a clean configuration must both boot and pass
+    /// the declared set.
+    #[test]
+    fn declared_constraints_match_start_behaviour() {
+        for spec in crate::all_specs() {
+            let mut target = (spec.build)();
+            let constraints = target.config_constraints();
+            assert!(
+                !constraints.is_empty(),
+                "{} declares no startup constraints",
+                spec.name
+            );
+
+            let clean = ResolvedConfig::new();
+            assert!(
+                constraints.violations(&clean).is_empty(),
+                "{} flags its own defaults",
+                spec.name
+            );
+            let map = CoverageMap::new(target.branch_count());
+            target
+                .start(&clean, map.probe())
+                .unwrap_or_else(|e| panic!("{} refuses defaults: {e}", spec.name));
+
+            for constraint in constraints.constraints() {
+                let witness = constraint.witness();
+                assert!(
+                    constraint.violated_by(&witness),
+                    "{}: witness fails to violate `{}`",
+                    spec.name,
+                    constraint.reason()
+                );
+                let map = CoverageMap::new(target.branch_count());
+                assert!(
+                    target.start(&witness, map.probe()).is_err(),
+                    "{}: `{}` witness {witness} boots anyway",
+                    spec.name,
+                    constraint.reason()
+                );
+            }
+        }
+    }
+
+    /// Lockstep gate between the declared branch guards and the actual
+    /// coverage behaviour, machine-checked through the reachability
+    /// analyzer:
+    ///
+    /// * global-mode analysis over every subject's extracted model must be
+    ///   diagnostic-free (each guard references known items and every
+    ///   verdict is certified),
+    /// * every startup guard must be proven reachable, and its canonical
+    ///   witness must boot the server *and* cover the guarded branch,
+    /// * on the default configuration, a startup guard's branch must be
+    ///   covered iff its conditions hold — the exactness contract of
+    ///   `GuardKind::Startup`.
+    #[test]
+    fn declared_guards_match_reachability_and_coverage() {
+        use cmfuzz_analyze::{analyze_reachability, ReachSpace, ReachStatus};
+        use cmfuzz_config_model::{extract_model, GuardKind};
+        use cmfuzz_coverage::BranchId;
+
+        for spec in crate::all_specs() {
+            let mut target = (spec.build)();
+            let guards = target.branch_guards();
+            assert!(
+                !guards.is_empty(),
+                "{} declares no branch guards",
+                spec.name
+            );
+            let model = extract_model(&target.config_space());
+            let analysis = analyze_reachability(
+                spec.name,
+                &guards,
+                &target.config_constraints(),
+                &model,
+                target.branch_count(),
+                &ReachSpace::Global,
+            );
+            assert!(
+                analysis.report().diagnostics().is_empty(),
+                "{}: global reachability not clean:\n{}",
+                spec.name,
+                analysis.report().render_text()
+            );
+
+            let defaults = ResolvedConfig::new();
+            let default_map = CoverageMap::new(target.branch_count());
+            target.start(&defaults, default_map.probe()).unwrap();
+            for guard in guards.iter() {
+                if guard.kind() != GuardKind::Startup {
+                    continue;
+                }
+                let holds = guard.conditions().iter().all(|c| c.matches(&defaults));
+                let covered = default_map.hit_count(BranchId::from_index(guard.branch())) > 0;
+                assert_eq!(
+                    covered,
+                    holds,
+                    "{}: default boot covers `{}`={covered} but its guard holds={holds}",
+                    spec.name,
+                    guard.region()
+                );
+            }
+
+            for row in analysis.branches() {
+                if row.kind() != GuardKind::Startup {
+                    continue;
+                }
+                let ReachStatus::Reachable { witness } = row.status() else {
+                    panic!(
+                        "{}: startup guard `{}` not proven reachable: {:?}",
+                        spec.name,
+                        row.region(),
+                        row.status()
+                    );
+                };
+                let map = CoverageMap::new(target.branch_count());
+                target.start(witness, map.probe()).unwrap_or_else(|e| {
+                    panic!(
+                        "{}: witness {witness} for `{}` refuses to boot: {e}",
+                        spec.name,
+                        row.region()
+                    )
+                });
+                assert!(
+                    map.hit_count(BranchId::from_index(row.branch())) > 0,
+                    "{}: witness {witness} boots but does not cover `{}`",
+                    spec.name,
+                    row.region()
+                );
+            }
+        }
+    }
+
+    /// Deterministic pseudo-random probe message for the state round-trip
+    /// test below.
+    fn probe_msg(i: usize) -> Vec<u8> {
+        let mut bytes = vec![0u8; 16];
+        let mut x = (i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(1);
+        for b in &mut bytes {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            *b = (x >> 33) as u8;
+        }
+        bytes
+    }
+
+    /// The `export_state`/`import_state` contract, per subject: a fresh
+    /// instance that starts and imports must answer future traffic exactly
+    /// like the uninterrupted original.
+    #[test]
+    fn exported_state_reproduces_future_behaviour() {
+        const BEFORE: usize = 24;
+        const AFTER: usize = 24;
+        for spec in crate::all_specs() {
+            let start = |target: &mut ProtocolTarget| {
+                let map = CoverageMap::new(target.branch_count());
+                target.start(&ResolvedConfig::new(), map.probe()).unwrap();
+                map
+            };
+            let mut reference = (spec.build)();
+            let _ref_map = start(&mut reference);
+            reference.begin_session();
+            let mut expected = Vec::new();
+            for i in 0..BEFORE + AFTER {
+                let response = reference.handle(&probe_msg(i));
+                if i >= BEFORE {
+                    expected.push(response);
+                }
+            }
+
+            let mut exporter = (spec.build)();
+            let _exp_map = start(&mut exporter);
+            exporter.begin_session();
+            for i in 0..BEFORE {
+                exporter.handle(&probe_msg(i));
+            }
+            let state = exporter.export_state();
+            let mut resumed = (spec.build)();
+            let _res_map = start(&mut resumed);
+            resumed.import_state(&state);
+            let continued: Vec<TargetResponse> = (BEFORE..BEFORE + AFTER)
+                .map(|i| resumed.handle(&probe_msg(i)))
+                .collect();
+            assert_eq!(continued, expected, "{} state round-trip", spec.name);
         }
     }
 }

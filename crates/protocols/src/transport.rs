@@ -1,235 +1,14 @@
-//! The transport seam between a fuzzing client and a protocol server.
+//! The datagram link between a fuzzing client and a protocol server.
 //!
-//! Every fuzzed message crosses a [`Transport`]: the campaign's
-//! namespaced datagram path ([`DatagramLink`], backed by
-//! `cmfuzz-netsim`, optionally with seeded link impairments) or the
-//! zero-overhead in-process path ([`DirectLink`], what throughput
-//! benches use to measure the engine rather than the wire). Higher
-//! layers — [`NetworkedTarget`](crate::NetworkedTarget), the campaign
-//! runner, the bench harness — consume targets through this one seam and
-//! never talk to sockets directly.
-
-use std::collections::VecDeque;
-use std::fmt;
+//! Every fuzzed message crosses a [`DatagramLink`]: one isolated
+//! `cmfuzz-netsim` namespace per campaign instance, optionally with
+//! seeded link impairments. [`NetworkedTarget`](crate::NetworkedTarget)
+//! is its only consumer; the campaign runner and the bench harness never
+//! talk to sockets directly.
 
 use cmfuzz_fuzzer::state_codec::{StateReader, StateWriter};
 use cmfuzz_fuzzer::StartError;
 use cmfuzz_netsim::{Addr, Datagram, DatagramSocket, LinkConditions, Network};
-
-/// A bidirectional client↔server link carrying fuzzed datagrams.
-///
-/// The lifecycle mirrors a daemon's listening socket: [`Transport::open`]
-/// (re)establishes both endpoints after the server boots,
-/// [`Transport::close`] tears them down, and while closed every send and
-/// receive is inert. Implementations must be deterministic: the same
-/// seed and call sequence always yields the same delivery pattern.
-pub trait Transport: fmt::Debug + Send {
-    /// Tears down any previous endpoints and (re)establishes the link.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StartError`] of kind
-    /// [`Transport`](cmfuzz_fuzzer::StartErrorKind::Transport) when an
-    /// endpoint cannot come up.
-    fn open(&mut self) -> Result<(), StartError>;
-
-    /// Releases both endpoints; subsequent traffic is dropped until the
-    /// next [`Transport::open`].
-    fn close(&mut self);
-
-    /// Whether the link is currently established.
-    fn is_open(&self) -> bool;
-
-    /// Client → wire → server. Returns `false` on hard failure (link
-    /// closed); a lossy link that drops the datagram still returns
-    /// `true`, like UDP.
-    fn client_send(&mut self, payload: &[u8]) -> bool;
-
-    /// Whether every datagram crossing this link arrives exactly once, in
-    /// order, without consuming impairment RNG. Batch execution uses this
-    /// to decide when a burst of sends is observably identical to
-    /// interleaved send/recv — the default says `false`, which is always
-    /// safe (batching simply falls back to the sequential path).
-    fn is_lossless(&self) -> bool {
-        false
-    }
-
-    /// Client → wire → server for a burst of payloads stored back-to-back
-    /// in `arena`, each addressed by an `(offset, len)` range. Returns
-    /// `false` on the first hard failure, after which no further ranges
-    /// are sent — exactly what a [`Transport::client_send`] loop that
-    /// stops on failure observes. The default is that loop; links with a
-    /// cheaper bulk path override it.
-    fn client_send_batch(&mut self, arena: &[u8], ranges: &[(u32, u32)]) -> bool {
-        ranges
-            .iter()
-            .all(|&(start, len)| self.client_send(&arena[start as usize..(start + len) as usize]))
-    }
-
-    /// Next datagram pending at the server, if any.
-    fn server_recv(&mut self) -> Option<Vec<u8>>;
-
-    /// Delivers up to `max` pending server-side datagrams to `each`, in
-    /// arrival order, stopping early when the queue runs dry. Returns how
-    /// many were delivered — the same payloads, in the same order, as
-    /// that many [`Transport::server_recv`] calls. Links with a cheaper
-    /// bulk path (one queue lock for the whole drain) override this.
-    fn server_recv_many(&mut self, max: usize, each: &mut dyn FnMut(&[u8])) -> usize {
-        let mut received = 0;
-        while received < max {
-            let Some(payload) = self.server_recv() else {
-                break;
-            };
-            each(&payload);
-            received += 1;
-        }
-        received
-    }
-
-    /// Server → wire → client. Same contract as
-    /// [`Transport::client_send`].
-    fn server_send(&mut self, payload: &[u8]) -> bool;
-
-    /// Next datagram pending at the client, if any.
-    fn client_recv(&mut self) -> Option<Vec<u8>>;
-
-    /// Exports the link's mutable state (impairment RNG position,
-    /// held-back and in-flight datagrams) as opaque bytes for
-    /// checkpointing. May be destructive — draining receive queues is
-    /// allowed — so callers discard the link afterwards.
-    ///
-    /// The contract with [`Transport::import_state`] mirrors
-    /// [`Target::export_state`](cmfuzz_fuzzer::Target::export_state): a
-    /// freshly [`open`](Transport::open)ed link of the same kind that
-    /// imports these bytes behaves identically to the exporting link.
-    /// The default covers stateless links: nothing to export.
-    fn export_state(&mut self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    /// Restores state captured by [`Transport::export_state`] into a
-    /// freshly opened link of the same kind. The default ignores the
-    /// bytes, matching the default `export_state`.
-    fn import_state(&mut self, state: &[u8]) {
-        let _ = state;
-    }
-}
-
-/// In-process transport: a perfect link with no namespace, no sockets
-/// and no locks — two queues handed back and forth.
-///
-/// This is the fast path for benchmarks that want to measure the fuzzing
-/// engine itself rather than the simulated wire, and the reference
-/// behaviour an unimpaired [`DatagramLink`] must reproduce.
-///
-/// # Examples
-///
-/// ```
-/// use cmfuzz_protocols::{DirectLink, Transport};
-///
-/// let mut link = DirectLink::new();
-/// link.open()?;
-/// assert!(link.client_send(b"ping"));
-/// assert_eq!(link.server_recv().as_deref(), Some(&b"ping"[..]));
-/// # Ok::<(), cmfuzz_fuzzer::StartError>(())
-/// ```
-#[derive(Debug, Default)]
-pub struct DirectLink {
-    open: bool,
-    to_server: VecDeque<Vec<u8>>,
-    to_client: VecDeque<Vec<u8>>,
-}
-
-impl DirectLink {
-    /// Creates a closed link; call [`Transport::open`] before use.
-    #[must_use]
-    pub fn new() -> Self {
-        DirectLink::default()
-    }
-}
-
-impl Transport for DirectLink {
-    fn open(&mut self) -> Result<(), StartError> {
-        self.to_server.clear();
-        self.to_client.clear();
-        self.open = true;
-        Ok(())
-    }
-
-    fn close(&mut self) {
-        self.open = false;
-        self.to_server.clear();
-        self.to_client.clear();
-    }
-
-    fn is_open(&self) -> bool {
-        self.open
-    }
-
-    fn client_send(&mut self, payload: &[u8]) -> bool {
-        if !self.open {
-            return false;
-        }
-        self.to_server.push_back(payload.to_vec());
-        true
-    }
-
-    fn is_lossless(&self) -> bool {
-        true
-    }
-
-    fn server_recv(&mut self) -> Option<Vec<u8>> {
-        self.to_server.pop_front()
-    }
-
-    fn server_recv_many(&mut self, max: usize, each: &mut dyn FnMut(&[u8])) -> usize {
-        let take = self.to_server.len().min(max);
-        for payload in self.to_server.drain(..take) {
-            each(&payload);
-        }
-        take
-    }
-
-    fn server_send(&mut self, payload: &[u8]) -> bool {
-        if !self.open {
-            return false;
-        }
-        self.to_client.push_back(payload.to_vec());
-        true
-    }
-
-    fn client_recv(&mut self) -> Option<Vec<u8>> {
-        self.to_client.pop_front()
-    }
-
-    fn export_state(&mut self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.bool(self.open);
-        w.usize(self.to_server.len());
-        for payload in &self.to_server {
-            w.bytes(payload);
-        }
-        w.usize(self.to_client.len());
-        for payload in &self.to_client {
-            w.bytes(payload);
-        }
-        w.finish()
-    }
-
-    fn import_state(&mut self, state: &[u8]) {
-        let mut r = StateReader::new(state);
-        self.open = r.bool();
-        self.to_server.clear();
-        for _ in 0..r.usize() {
-            self.to_server.push_back(r.bytes().to_vec());
-        }
-        self.to_client.clear();
-        for _ in 0..r.usize() {
-            self.to_client.push_back(r.bytes().to_vec());
-        }
-        r.finish();
-    }
-}
 
 fn write_datagram(w: &mut StateWriter, datagram: &Datagram) {
     w.u32(datagram.src.host());
@@ -254,20 +33,25 @@ pub(crate) const SERVER_ADDR: Addr = Addr::new(1, 9000);
 /// Well-known fuzzing-client address inside each instance namespace.
 pub(crate) const CLIENT_ADDR: Addr = Addr::new(2, 40000);
 
-/// The campaign transport: one isolated [`Network`] namespace per
-/// instance (the paper's `ip netns`), with a datagram socket pair and
-/// optional seeded link impairments.
+/// The campaign link: one isolated [`Network`] namespace per instance
+/// (the paper's `ip netns`), with a datagram socket pair and optional
+/// seeded link impairments.
 ///
-/// Unimpaired links behave exactly like [`DirectLink`] plus isolation;
-/// impaired links drop, duplicate and reorder datagrams following the
-/// network's seeded RNG, so a lossy campaign is still reproducible
-/// byte-for-byte from its seed.
+/// The lifecycle mirrors a daemon's listening socket: [`open`] (re)binds
+/// both endpoints after the server boots, [`close`] releases them, and
+/// while closed every send and receive is inert. Unimpaired links deliver
+/// every datagram exactly once, in order; impaired links drop, duplicate
+/// and reorder datagrams following the network's seeded RNG, so a lossy
+/// campaign is still reproducible byte-for-byte from its seed.
+///
+/// [`open`]: DatagramLink::open
+/// [`close`]: DatagramLink::close
 ///
 /// # Examples
 ///
 /// ```
 /// use cmfuzz_netsim::LinkConditions;
-/// use cmfuzz_protocols::{DatagramLink, Transport};
+/// use cmfuzz_protocols::DatagramLink;
 ///
 /// let mut link = DatagramLink::with_conditions(
 ///     "instance-0",
@@ -288,7 +72,7 @@ pub struct DatagramLink {
     /// burst sends are safe; impaired links must send datagram by
     /// datagram to keep the RNG stream aligned.
     lossless: bool,
-    /// Reused across [`Transport::server_recv_many`] drains so a batch
+    /// Reused across [`DatagramLink::server_recv_many`] drains so a batch
     /// drain costs one queue lock and no fresh allocation.
     recv_scratch: Vec<Datagram>,
 }
@@ -324,10 +108,15 @@ impl DatagramLink {
     pub fn network(&self) -> &Network {
         &self.network
     }
-}
 
-impl Transport for DatagramLink {
-    fn open(&mut self) -> Result<(), StartError> {
+    /// Tears down any previous endpoints and (re)binds both.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`StartError`] of kind
+    /// [`Transport`](cmfuzz_fuzzer::StartErrorKind::Transport) when an
+    /// endpoint's address is taken.
+    pub fn open(&mut self) -> Result<(), StartError> {
         // Release any previous endpoints first so rebinding the
         // well-known addresses cannot collide with our own stale sockets.
         self.close();
@@ -344,41 +133,60 @@ impl Transport for DatagramLink {
         Ok(())
     }
 
-    fn close(&mut self) {
+    /// Releases both endpoints; traffic is dropped until the next
+    /// [`DatagramLink::open`].
+    pub fn close(&mut self) {
         self.server = None;
         self.client = None;
     }
 
-    fn is_open(&self) -> bool {
+    /// Whether both endpoints are bound.
+    #[must_use]
+    pub fn is_open(&self) -> bool {
         self.server.is_some() && self.client.is_some()
     }
 
-    fn client_send(&mut self, payload: &[u8]) -> bool {
+    /// Client → wire → server. Returns `false` on hard failure (link
+    /// closed); a lossy link that drops the datagram still returns `true`,
+    /// like UDP.
+    pub fn client_send(&mut self, payload: &[u8]) -> bool {
         match &self.client {
             Some(client) => client.send_to(SERVER_ADDR, payload).is_ok(),
             None => false,
         }
     }
 
-    fn is_lossless(&self) -> bool {
+    /// Whether every datagram arrives exactly once, in order, without
+    /// drawing impairment RNG. Only then is a burst of sends observably
+    /// identical to interleaved send/receive.
+    #[must_use]
+    pub fn is_lossless(&self) -> bool {
         self.lossless
     }
 
-    fn client_send_batch(&mut self, arena: &[u8], ranges: &[(u32, u32)]) -> bool {
+    /// Client → wire → server for a burst of payloads stored back-to-back
+    /// in `arena`, each addressed by an `(offset, len)` range, under one
+    /// queue lock. Returns `false` when the link is closed.
+    pub fn client_send_batch(&mut self, arena: &[u8], ranges: &[(u32, u32)]) -> bool {
         match &self.client {
             Some(client) => client.send_many_to(SERVER_ADDR, arena, ranges).is_ok(),
             None => false,
         }
     }
 
-    fn server_recv(&mut self) -> Option<Vec<u8>> {
+    /// Next datagram pending at the server, if any.
+    pub fn server_recv(&mut self) -> Option<Vec<u8>> {
         self.server
             .as_ref()
             .and_then(DatagramSocket::try_recv)
             .map(|datagram| datagram.payload)
     }
 
-    fn server_recv_many(&mut self, max: usize, each: &mut dyn FnMut(&[u8])) -> usize {
+    /// Delivers up to `max` pending server-side datagrams to `each`, in
+    /// arrival order, under one queue lock. Returns how many were
+    /// delivered — the same payloads, in the same order, as that many
+    /// [`DatagramLink::server_recv`] calls.
+    pub fn server_recv_many(&mut self, max: usize, mut each: impl FnMut(&[u8])) -> usize {
         let Some(server) = &self.server else {
             return 0;
         };
@@ -391,21 +199,29 @@ impl Transport for DatagramLink {
         received
     }
 
-    fn server_send(&mut self, payload: &[u8]) -> bool {
+    /// Server → wire → client. Same contract as
+    /// [`DatagramLink::client_send`].
+    pub fn server_send(&mut self, payload: &[u8]) -> bool {
         match &self.server {
             Some(server) => server.send_to(CLIENT_ADDR, payload).is_ok(),
             None => false,
         }
     }
 
-    fn client_recv(&mut self) -> Option<Vec<u8>> {
+    /// Next datagram pending at the client, if any.
+    pub fn client_recv(&mut self) -> Option<Vec<u8>> {
         self.client
             .as_ref()
             .and_then(DatagramSocket::try_recv)
             .map(|datagram| datagram.payload)
     }
 
-    fn export_state(&mut self) -> Vec<u8> {
+    /// Exports the link's mutable state (impairment RNG position,
+    /// held-back and in-flight datagrams) as opaque bytes for
+    /// checkpointing. Destructive — it drains both receive queues — so
+    /// callers discard the link afterwards. A freshly opened link that
+    /// imports these bytes behaves identically to the exporting one.
+    pub fn export_state(&mut self) -> Vec<u8> {
         let mut w = StateWriter::new();
         w.bool(self.is_open());
         let (rng, held) = self.network.export_link_state();
@@ -432,7 +248,9 @@ impl Transport for DatagramLink {
         w.finish()
     }
 
-    fn import_state(&mut self, state: &[u8]) {
+    /// Restores state captured by [`DatagramLink::export_state`] into a
+    /// freshly opened link.
+    pub fn import_state(&mut self, state: &[u8]) {
         let mut r = StateReader::new(state);
         let was_open = r.bool();
         let rng = [r.u64(), r.u64(), r.u64(), r.u64()];
@@ -458,22 +276,13 @@ mod tests {
     use super::*;
     use cmfuzz_fuzzer::StartErrorKind;
 
-    fn round_trip(link: &mut dyn Transport) {
+    fn round_trip(link: &mut DatagramLink) {
         assert!(link.client_send(b"req"));
         assert_eq!(link.server_recv().as_deref(), Some(&b"req"[..]));
         assert!(link.server_send(b"resp"));
         assert_eq!(link.client_recv().as_deref(), Some(&b"resp"[..]));
         assert!(link.server_recv().is_none());
         assert!(link.client_recv().is_none());
-    }
-
-    #[test]
-    fn direct_link_round_trips() {
-        let mut link = DirectLink::new();
-        assert!(!link.is_open());
-        link.open().unwrap();
-        assert!(link.is_open());
-        round_trip(&mut link);
     }
 
     #[test]
@@ -487,14 +296,11 @@ mod tests {
 
     #[test]
     fn closed_links_are_inert() {
-        let direct: &mut dyn Transport = &mut DirectLink::new();
-        let datagram: &mut dyn Transport = &mut DatagramLink::new("t");
-        for link in [direct, datagram] {
-            assert!(!link.client_send(b"x"));
-            assert!(!link.server_send(b"x"));
-            assert!(link.server_recv().is_none());
-            assert!(link.client_recv().is_none());
-        }
+        let link = &mut DatagramLink::new("t");
+        assert!(!link.client_send(b"x"));
+        assert!(!link.server_send(b"x"));
+        assert!(link.server_recv().is_none());
+        assert!(link.client_recv().is_none());
     }
 
     #[test]
@@ -527,34 +333,6 @@ mod tests {
         assert_eq!(err.kind(), StartErrorKind::Transport);
         assert!(err.reason().contains("bind failed"));
         assert!(!link.is_open());
-    }
-
-    #[test]
-    fn direct_open_clears_stale_queues() {
-        let mut link = DirectLink::new();
-        link.open().unwrap();
-        assert!(link.client_send(b"stale"));
-        link.open().unwrap();
-        assert!(link.server_recv().is_none(), "reopen starts clean");
-    }
-
-    #[test]
-    fn direct_link_state_round_trips() {
-        let mut link = DirectLink::new();
-        link.open().unwrap();
-        assert!(link.client_send(b"a"));
-        assert!(link.client_send(b"b"));
-        assert!(link.server_send(b"r"));
-        let state = link.export_state();
-
-        let mut restored = DirectLink::new();
-        restored.open().unwrap();
-        restored.import_state(&state);
-        assert!(restored.is_open());
-        assert_eq!(restored.server_recv().as_deref(), Some(&b"a"[..]));
-        assert_eq!(restored.server_recv().as_deref(), Some(&b"b"[..]));
-        assert!(restored.server_recv().is_none());
-        assert_eq!(restored.client_recv().as_deref(), Some(&b"r"[..]));
     }
 
     #[test]
@@ -596,7 +374,6 @@ mod tests {
 
     #[test]
     fn losslessness_reflects_link_conditions() {
-        assert!(DirectLink::new().is_lossless());
         assert!(DatagramLink::new("t").is_lossless());
         assert!(DatagramLink::with_conditions("t", LinkConditions::perfect(), 1).is_lossless());
         assert!(
@@ -609,24 +386,18 @@ mod tests {
     fn batch_send_matches_sequential_sends() {
         let arena = b"reqAreqBreqC";
         let ranges = [(0u32, 4u32), (4, 4), (8, 4)];
-        let drain = |link: &mut dyn Transport| -> Vec<Vec<u8>> {
-            let mut got = Vec::new();
-            while let Some(d) = link.server_recv() {
-                got.push(d);
-            }
-            got
-        };
-        let direct: &mut dyn Transport = &mut DirectLink::new();
-        let datagram: &mut dyn Transport = &mut DatagramLink::new("t");
-        for link in [direct, datagram] {
-            assert!(!link.client_send_batch(arena, &ranges), "closed link");
-            link.open().unwrap();
-            assert!(link.client_send_batch(arena, &ranges));
-            assert_eq!(
-                drain(link),
-                vec![b"reqA".to_vec(), b"reqB".to_vec(), b"reqC".to_vec()]
-            );
+        let link = &mut DatagramLink::new("t");
+        assert!(!link.client_send_batch(arena, &ranges), "closed link");
+        link.open().unwrap();
+        assert!(link.client_send_batch(arena, &ranges));
+        let mut got = Vec::new();
+        while let Some(d) = link.server_recv() {
+            got.push(d);
         }
+        assert_eq!(
+            got,
+            vec![b"reqA".to_vec(), b"reqB".to_vec(), b"reqC".to_vec()]
+        );
     }
 
     #[test]

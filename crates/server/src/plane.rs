@@ -13,7 +13,7 @@
 //! are invariant to (the soak gate holds the service to exactly that).
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -67,9 +67,16 @@ pub fn build_policy(name: &str) -> Option<Box<dyn SchedulingPolicy>> {
 
 struct PlaneShared {
     manager: Mutex<FleetManager>,
-    /// Signaled on admission/resume/extension so an idle engine re-checks
-    /// eligibility immediately instead of at its next poll tick.
+    /// Signaled after every request releases the manager, so an idle
+    /// engine re-checks eligibility at once and a yielding engine re-checks
+    /// whether the requests it waits for have been served.
     wake: Condvar,
+    /// Requests that have asked for the manager lock, and requests that
+    /// got it. `std::sync::Mutex` is not fair: without this hand-over the
+    /// engine thread re-takes the lock right after each wave and a request
+    /// can wait out a hundred waves.
+    requested: AtomicU64,
+    granted: AtomicU64,
     stop: AtomicBool,
     last_error: Mutex<Option<String>>,
     telemetry: Telemetry,
@@ -78,6 +85,31 @@ struct PlaneShared {
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl PlaneShared {
+    /// Runs one request against the manager. The engine thread serves
+    /// every request already waiting when a wave ends before it starts the
+    /// next one.
+    fn with_manager<R>(&self, request: impl FnOnce(&mut FleetManager) -> R) -> R {
+        self.requested.fetch_add(1, Ordering::SeqCst);
+        let mut manager = lock(&self.manager);
+        self.granted.fetch_add(1, Ordering::SeqCst);
+        let result = request(&mut manager);
+        drop(manager);
+        self.wake.notify_all();
+        result
+    }
+
+    /// Takes the manager back after a wave, once every request that was
+    /// waiting at this point has had its turn.
+    fn relock_after_wave(&self) -> MutexGuard<'_, FleetManager> {
+        let manager = lock(&self.manager);
+        let due = self.requested.load(Ordering::SeqCst);
+        self.wake
+            .wait_while(manager, |_| self.granted.load(Ordering::SeqCst) < due)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A running control plane; dropping it without [`ControlPlane::shutdown`]
@@ -112,6 +144,8 @@ impl ControlPlane {
         let shared = Arc::new(PlaneShared {
             manager: Mutex::new(FleetManager::new(options.fleet, &telemetry)),
             wake: Condvar::new(),
+            requested: AtomicU64::new(0),
+            granted: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             last_error: Mutex::new(None),
             telemetry,
@@ -133,7 +167,7 @@ impl ControlPlane {
                             // blocked behind sink I/O.
                             drop(manager);
                             shared.telemetry.drain();
-                            manager = lock(&shared.manager);
+                            manager = shared.relock_after_wave();
                         }
                         Ok(WaveOutcome::Idle(_)) => {
                             let (guard, _timeout) = shared
@@ -182,89 +216,77 @@ impl ControlPlane {
     pub fn submit(&self, submission: &Submission) -> Result<Vec<String>, (i32, String)> {
         let campaigns = submission.materialize().map_err(|m| (2, m))?;
         let ids: Vec<String> = campaigns.iter().map(|c| c.id.clone()).collect();
-        let mut manager = lock(&self.shared.manager);
-        manager
-            .admit_batch(campaigns)
-            .map_err(|error: CampaignError| (error.exit_code(), error.to_string()))?;
-        for campaign in &submission.campaigns {
-            if campaign.paused {
-                manager.pause(&campaign.id);
+        self.shared.with_manager(|manager| {
+            manager
+                .admit_batch(campaigns)
+                .map_err(|error: CampaignError| (error.exit_code(), error.to_string()))?;
+            for campaign in &submission.campaigns {
+                if campaign.paused {
+                    manager.pause(&campaign.id);
+                }
             }
-        }
-        drop(manager);
-        self.shared.wake.notify_all();
-        Ok(ids)
+            Ok(ids)
+        })
     }
 
     /// Status rows for every admitted campaign, in admission order.
     #[must_use]
     pub fn status(&self) -> Vec<CampaignStatus> {
-        lock(&self.shared.manager).status()
+        self.shared.with_manager(|manager| manager.status())
     }
 
     /// Pauses a campaign at its next round boundary.
     pub fn pause(&self, id: &str) -> bool {
-        lock(&self.shared.manager).pause(id)
+        self.shared.with_manager(|manager| manager.pause(id))
     }
 
     /// Resumes a paused campaign and wakes the engine.
     pub fn resume(&self, id: &str) -> bool {
-        let resumed = lock(&self.shared.manager).resume(id);
-        if resumed {
-            self.shared.wake.notify_all();
-        }
-        resumed
+        self.shared.with_manager(|manager| manager.resume(id))
     }
 
     /// Permanently kills a campaign (its slice stops at the next round
     /// boundary; its checkpoint is kept for reporting).
     pub fn kill(&self, id: &str) -> bool {
-        let killed = lock(&self.shared.manager).kill(id);
-        if killed {
-            self.shared.wake.notify_all();
-        }
-        killed
+        self.shared.with_manager(|manager| manager.kill(id))
     }
 
     /// Kills every campaign — the global kill switch path.
     pub fn kill_all(&self) -> usize {
-        let mut manager = lock(&self.shared.manager);
-        let ids: Vec<String> = manager.status().iter().map(|s| s.id.clone()).collect();
-        let killed = ids.iter().filter(|id| manager.kill(id)).count();
-        drop(manager);
-        self.shared.wake.notify_all();
-        killed
+        self.shared.with_manager(|manager| {
+            let ids: Vec<String> = manager.status().iter().map(|s| s.id.clone()).collect();
+            ids.iter().filter(|id| manager.kill(id)).count()
+        })
     }
 
     /// Extends a campaign's budget (strictly upward) and wakes the engine.
     pub fn extend_budget(&self, id: &str, budget: Ticks) -> bool {
-        let extended = lock(&self.shared.manager).extend_budget(id, budget);
-        if extended {
-            self.shared.wake.notify_all();
-        }
-        extended
+        self.shared
+            .with_manager(|manager| manager.extend_budget(id, budget))
     }
 
     /// Deterministic FNV-1a digest of the campaign's current result
     /// (`None` until it has been scheduled at least once).
     #[must_use]
     pub fn result_digest(&self, id: &str) -> Option<String> {
-        lock(&self.shared.manager)
-            .campaign_result(id)
-            .map(|result| result_digest(&result))
+        self.shared.with_manager(|manager| {
+            manager
+                .campaign_result(id)
+                .map(|result| result_digest(&result))
+        })
     }
 
     /// Whether every non-killed campaign ran to its budget.
     #[must_use]
     pub fn all_complete(&self) -> bool {
-        let manager = lock(&self.shared.manager);
-        !manager.is_empty() && manager.all_complete()
+        self.shared
+            .with_manager(|manager| !manager.is_empty() && manager.all_complete())
     }
 
     /// Virtual ticks consumed across the whole fleet so far.
     #[must_use]
     pub fn spent(&self) -> Ticks {
-        lock(&self.shared.manager).spent()
+        self.shared.with_manager(|manager| manager.spent())
     }
 
     /// The error that halted the engine, if any.
@@ -457,6 +479,43 @@ mod tests {
             "resumed campaign runs to its budget"
         );
         plane.shutdown();
+    }
+
+    #[test]
+    fn a_waiting_request_is_served_before_the_next_wave() {
+        // Two long campaigns keep the engine stepping wave after wave. A
+        // request that arrives during a wave must be served when that wave
+        // ends, so at most one wave may finish while it waits.
+        let mut busy = submission();
+        for campaign in &mut busy.campaigns {
+            campaign.budget = 1_000_000;
+        }
+        let plane = ControlPlane::start(plane_options()).expect("plane starts");
+        plane.submit(&busy).expect("admitted");
+        let waves = plane.shared.telemetry.counter("fleet.waves");
+        assert!(wait_until(10_000, || waves.get() > 0), "engine runs waves");
+        const CALLS: u64 = 200;
+        let mut late = 0;
+        let mut worst = 0;
+        for _ in 0..CALLS {
+            // Let the engine run unopposed so the request lands mid-wave.
+            std::thread::sleep(Duration::from_micros(500));
+            let before = waves.get();
+            let _ = plane.status();
+            let waited = waves.get() - before;
+            worst = worst.max(waited);
+            if waited > 1 {
+                late += 1;
+            }
+        }
+        plane.shutdown();
+        // Preemption of this thread right before or after a call can let
+        // a second wave finish legitimately; without the hand-over most
+        // calls wait out several waves.
+        assert!(
+            late * 10 <= CALLS,
+            "{late} of {CALLS} requests waited out more than one wave (worst: {worst})"
+        );
     }
 
     #[test]
